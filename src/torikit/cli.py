@@ -40,7 +40,6 @@ class RunConfig:
     verbose: bool = False
     cone: int | None = None
     ordinary: bool = False
-    equivariant: bool = False
 
 
 def _load_fan(config: RunConfig) -> Fan:
@@ -303,7 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "betti":
             group = p.add_mutually_exclusive_group()
             group.add_argument("--ordinary", action="store_true")
-            group.add_argument("--equivariant", action="store_true")
+            group.add_argument(
+                "--equivariant",
+                action="store_true",
+                help="equivariant series coefficients (the default)",
+            )
         if name == "hilbert":
             p.add_argument("--cone", type=int, default=None)
     return parser
@@ -322,7 +325,6 @@ def main(argv: list[str] | None = None) -> int:
         verbose=args.verbose,
         cone=getattr(args, "cone", None),
         ordinary=getattr(args, "ordinary", False),
-        equivariant=getattr(args, "equivariant", False),
     )
     try:
         return COMMANDS[args.command](config)

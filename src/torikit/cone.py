@@ -9,16 +9,15 @@ half-open fundamental parallelepiped of each simplicial piece.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .errors import PointednessError
+from .errors import PointednessError, ToricError
 from .lattice import (
     Vector,
     diagonal_of,
+    echelon,
     invert_unimodular,
     kernel_basis,
     mat_vec,
@@ -80,7 +79,7 @@ def double_description(
                     for b in processed
                     if pairing(b, rp) == 0 and pairing(b, rm) == 0
                 ]
-                if (rank(tight) if tight else 0) != target:
+                if rank(tight) != target:
                     continue
                 sp, sm = pairing(a, rp), pairing(a, rm)
                 new.append(
@@ -94,26 +93,6 @@ def double_description(
                 deduped.append(r)
         rays = deduped
     return sorted(set(rays)), lineality
-
-
-def _fraction_inverse(cols: Sequence[Vector]) -> list[list[Fraction]]:
-    """Inverse of the square matrix whose columns are ``cols``."""
-    d = len(cols)
-    a = [
-        [Fraction(cols[j][i]) for j in range(d)]
-        + [Fraction(int(i == j)) for j in range(d)]
-        for i in range(d)
-    ]
-    for j in range(d):
-        piv = next(i for i in range(j, d) if a[i][j] != 0)
-        a[j], a[piv] = a[piv], a[j]
-        inv = 1 / a[j][j]
-        a[j] = [x * inv for x in a[j]]
-        for i in range(d):
-            if i != j and a[i][j] != 0:
-                f = a[i][j]
-                a[i] = [x - f * y for x, y in zip(a[i], a[j])]
-    return [row[d:] for row in a]
 
 
 @dataclass(frozen=True)
@@ -191,8 +170,7 @@ class Cone:
 
     def has_vertex(self) -> bool:
         """True iff sigma meets -sigma only in 0."""
-        gens = [list(g) for g in self._dual.generators]
-        return (rank(gens) if gens else 0) == self.n
+        return rank(self._dual.generators) == self.n
 
     def contains(self, v: Sequence[int]) -> bool:
         return all(pairing(g, v) >= 0 for g in self._dual.rays) and all(
@@ -292,13 +270,12 @@ class Cone:
                 sum(h[j] * lifts[j][i] for j in range(q.rank))
                 for i in range(self.n)
             )
-            assert all(pairing(x, g) >= 0 for g in self.generators)
+            if any(pairing(x, g) < 0 for g in self.generators):
+                raise ToricError(
+                    f"lifted Hilbert basis element {x} is not in the dual cone"
+                )
             out.append(x)
         return out
-
-    def extreme_rays_of_dual(self) -> tuple[Vector, ...]:
-        """Extreme rays of the dual cone (= the facet normals)."""
-        return self._dual.rays
 
 
 def _in_dual(x: Vector, normals: Sequence[Vector]) -> bool:
@@ -363,8 +340,9 @@ def _parallelepiped_points(cols: list[Vector]) -> list[Vector]:
     """Nonzero lattice points of {sum t_i g_i : 0 <= t_i < 1}.
 
     ``cols`` are linearly independent and there are exactly dim-many of
-    them, so the box is a genuine parallelepiped with |det| lattice points
-    counted via the Smith normal form of the generator matrix.
+    them, so the box is a genuine parallelepiped with |det| lattice points,
+    one per class of Z^d / G Z^d; the Smith normal form of the generator
+    matrix G lists those classes.
     """
     d = len(cols[0])
     g = [[cols[j][i] for j in range(len(cols))] for i in range(d)]
@@ -377,16 +355,24 @@ def _parallelepiped_points(cols: list[Vector]) -> list[Vector]:
     if all(x == 1 for x in diag):
         return []
     uinv = invert_unimodular(u)
-    ginv = _fraction_inverse(cols)
+    # [G | I] reduces to [det * I | det * G^-1].  For a coset representative
+    # w, t = (det * G^-1 w) mod det is det times the fractional part of
+    # G^-1 w (Python's % and // take the sign of det, so either sign works),
+    # and the point is G times that fractional part.
+    a, _, det, _ = echelon(
+        [row + [int(i == j) for j in range(d)] for i, row in enumerate(g)]
+    )
+    adj = [row[d:] for row in a]
     pts = []
     for z in itertools.product(*[range(x) for x in diag]):
         w = mat_vec(uinv, z)
-        t = [sum(ginv[i][j] * w[j] for j in range(d)) for i in range(d)]
-        f = [ti - math.floor(ti) for ti in t]
-        if not any(f):
+        t = [x % det for x in mat_vec(adj, w)]
+        if not any(t):
             continue
-        x = tuple(
-            int(sum(f[j] * cols[j][i] for j in range(d))) for i in range(d)
+        pts.append(
+            tuple(
+                sum(t[j] * cols[j][i] for j in range(d)) // det
+                for i in range(d)
+            )
         )
-        pts.append(x)
     return pts

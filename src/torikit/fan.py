@@ -52,6 +52,9 @@ class Fan:
             sorted(seen, key=lambda c: (self._cone_objs[c].dim, c))
         )
         self.warnings = warnings or []
+        # Dual basis characters by (cone, ray); filled by
+        # stratification.dual_basis_character.
+        self.dual_basis_cache: dict[tuple[RaySet, int], Vector] = {}
 
     @classmethod
     def from_maximal_cones(
@@ -91,6 +94,11 @@ class Fan:
             ):
                 out.append(c)
         return tuple(sorted(out))
+
+    @cached_property
+    def simplices(self) -> frozenset[frozenset[int]]:
+        """The ray sets of the cones, as the faces of the face ring."""
+        return frozenset(frozenset(c) for c in self.cones)
 
     def stabilizer_characters(self, rayset: Iterable[int]) -> QuotientLatticePresentation:
         """X(T_sigma) = X(T) / (sigma^perp intersect X(T))."""

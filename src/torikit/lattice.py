@@ -4,12 +4,18 @@ Vectors are tuples of Python ints (arbitrary precision), matrices are
 lists of rows.  Characters of the torus live in X(T) = Z^n, one-parameter
 subgroups in Y(T) = Z^n, dual to each other under the standard dot-product
 pairing.  Everything here is a pure function of immutable data.
+
+Elimination over Q has one kernel, ``echelon``: fraction-free (Bareiss)
+Gauss-Jordan elimination on integers.  ``rank``, ``determinant`` and
+``invert_unimodular`` are read off it, and so are the parallelepiped
+inverse in ``cone`` and the cokernel basis rows in ``rings``.  Smith
+normal form is separate: it uses unimodular row and column operations
+over Z.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
@@ -58,72 +64,70 @@ def transpose(a: Sequence[Sequence[int]]) -> Matrix:
     return [[a[i][j] for i in range(rows)] for j in range(cols)]
 
 
-def determinant(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in m):
-        raise ShapeError("determinant of a non-square matrix")
+def echelon(m: Sequence[Sequence[int]]) -> tuple[Matrix, list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination over Q (Bareiss 1968).
+
+    Returns ``(a, pivots, d, sign)``: ``a`` is ``d * rref(M)``, ``pivots``
+    its pivot columns, ``d`` the last pivot (1 when there is none) and
+    ``sign`` the parity of the row swaps.  Each step replaces every other
+    row by ``(row * p - row[j] * pivot_row) // prev``; the division is
+    exact because every entry stays a minor of M, and ``d`` is the signed
+    determinant of the pivot rows and columns.
+    """
     a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def rank(m: Sequence[Sequence[int]]) -> int:
-    """Exact rank over Q via Gaussian elimination with Fractions."""
-    a = [[Fraction(x) for x in row] for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    r = 0
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
     for j in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
         piv = next((i for i in range(r, rows) if a[i][j] != 0), None)
         if piv is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        top = a[r]
+        p = top[j]
         for i in range(rows):
-            if i != r and a[i][j] != 0:
-                f = a[i][j] / a[r][j]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+            f = a[i][j]
+            if i == r or (f == 0 and p == prev):
+                continue
+            a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
+        pivots.append(j)
+    return a, pivots, prev, sign
+
+
+def determinant(m: Sequence[Sequence[int]]) -> int:
+    """Exact determinant; 1 for the empty matrix."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ShapeError("determinant of a non-square matrix")
+    _, pivots, d, sign = echelon(m)
+    return sign * d if len(pivots) == n else 0
+
+
+def rank(m: Sequence[Sequence[int]]) -> int:
+    """Exact rank over Q; 0 for the empty matrix."""
+    return len(echelon(m)[1])
 
 
 def invert_unimodular(m: Sequence[Sequence[int]]) -> Matrix:
     """Inverse of an integer matrix with determinant +-1 (integer result)."""
     n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for j in range(n):
-        piv = next(i for i in range(j, n) if a[i][j] != 0)
-        a[j], a[piv] = a[piv], a[j]
-        inv = 1 / a[j][j]
-        a[j] = [x * inv for x in a[j]]
-        for i in range(n):
-            if i != j and a[i][j] != 0:
-                f = a[i][j]
-                a[i] = [x - f * y for x, y in zip(a[i], a[j])]
-    out = [[x for x in row[n:]] for row in a]
-    if any(x.denominator != 1 for row in out for x in row):
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix is not square")
+    a, pivots, d, _ = echelon(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    )
+    if pivots != list(range(n)) or d not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in out]
+    # a = d * [I | M^-1] and d * d = 1.
+    return [[d * x for x in row[n:]] for row in a]
 
 
 def smith_normal_form(

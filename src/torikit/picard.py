@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import IncompatibleFamilyError
+from .errors import IncompatibleFamilyError, ToricError
 from .fan import Fan, RaySet
 from .lattice import (
     Vector,
@@ -130,25 +130,29 @@ def _in_limit_coordinates(basis: Sequence[Vector], vec: Sequence[int]) -> Vector
     cols = [[b[i] for b in basis] for i in range(len(vec))]
     y = solve_integer(cols, list(vec))
     if y is None:
-        raise AssertionError("vector not in the compatibility lattice")
+        raise ToricError("vector not in the compatibility lattice")
     return y
 
 
-def equivariant_picard(fan: Fan) -> PicardReport:
-    """H^2_T(X) = lim X(T_sigma) over maximal cones, via one Smith normal
-    form of the compatibility/quotient system."""
+def _equivariant_part(fan: Fan):
+    """H^2_T(X) as the limit lattice modulo the per-cone sublattices
+    sigma^perp, via one Smith normal form.
+
+    Returns (basis, killed, pres, families): ``basis`` spans the limit
+    lattice in Z^(n*m), ``killed`` are the sigma^perp generators in its
+    coordinates, ``pres`` is the quotient and ``families`` lift its free
+    basis.
+    """
     require_smooth(fan)
     basis, maxc = _limit_lattice(fan)
     n, m = fan.n, len(maxc)
     r = len(basis)
-    # the per-cone sublattices sigma^perp, block-embedded and expressed
-    # in limit coordinates
+    # the per-cone sublattices sigma^perp, block-embedded
     killed = []
     for i, c in enumerate(maxc):
         for p in _perp_generators(fan, c):
             vec = [0] * (n * m)
-            for t in range(n):
-                vec[i * n + t] = p[t]
+            vec[i * n : (i + 1) * n] = p
             killed.append(_in_limit_coordinates(basis, vec))
     pres = quotient_by_sublattice(r, killed)
     families = []
@@ -160,55 +164,35 @@ def equivariant_picard(fan: Fan) -> PicardReport:
         families.append(
             CharacterFamily(
                 fan,
-                tuple(
-                    tuple(flat[i * n : (i + 1) * n]) for i in range(m)
-                ),
+                tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(m)),
             )
         )
+    return basis, killed, pres, tuple(families)
+
+
+def equivariant_picard(fan: Fan) -> PicardReport:
+    """H^2_T(X) = lim X(T_sigma) over maximal cones."""
+    _, _, pres, families = _equivariant_part(fan)
     return PicardReport(
         equivariant_rank=pres.rank,
         equivariant_torsion=pres.torsion,
-        equivariant_basis=tuple(families),
+        equivariant_basis=families,
     )
 
 
 def picard(fan: Fan) -> PicardReport:
     """Pic(X) = H^2_T(X) / X(T) (constant families)."""
-    require_smooth(fan)
-    basis, maxc = _limit_lattice(fan)
-    n, m = fan.n, len(maxc)
-    r = len(basis)
-    killed = []
-    for i, c in enumerate(maxc):
-        for p in _perp_generators(fan, c):
-            vec = [0] * (n * m)
-            for t in range(n):
-                vec[i * n + t] = p[t]
-            killed.append(_in_limit_coordinates(basis, vec))
-    equivariant = quotient_by_sublattice(r, killed)
-    constants = []
-    for t in range(n):
-        vec = [0] * (n * m)
-        for i in range(m):
-            vec[i * n + t] = 1
-        constants.append(_in_limit_coordinates(basis, vec))
-    ordinary = quotient_by_sublattice(r, killed + constants)
-    families = []
-    for lift in equivariant.lift_basis():
-        flat = [
-            sum(lift[j] * basis[j][i] for j in range(r))
-            for i in range(n * m)
-        ]
-        families.append(
-            CharacterFamily(
-                fan,
-                tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(m)),
-            )
-        )
+    basis, killed, equivariant, families = _equivariant_part(fan)
+    n, m = fan.n, len(fan.maximal_cones)
+    constants = [
+        _in_limit_coordinates(basis, [int(k % n == t) for k in range(n * m)])
+        for t in range(n)
+    ]
+    ordinary = quotient_by_sublattice(equivariant.n, killed + constants)
     return PicardReport(
         equivariant_rank=equivariant.rank,
         equivariant_torsion=equivariant.torsion,
-        equivariant_basis=tuple(families),
+        equivariant_basis=families,
         ordinary_rank=ordinary.rank,
         ordinary_torsion=ordinary.torsion,
     )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
@@ -19,22 +18,15 @@ from .fan import Fan, RaySet, incompleteness_reasons, simplicial_complex
 from .lattice import (
     Vector,
     diagonal_of,
+    echelon,
     pairing,
+    rank,
     smith_normal_form,
+    transpose,
 )
 from .stratification import dual_basis_character, require_smooth
 
 Exponents = tuple[int, ...]
-
-
-def _simplices(fan: Fan) -> frozenset[frozenset[int]]:
-    cached = getattr(fan, "_simplex_cache", None)
-    if cached is None:
-        cached = frozenset(
-            frozenset(c) for c in fan.cones
-        )
-        fan._simplex_cache = cached
-    return cached
 
 
 def _support(expo: Exponents) -> frozenset[int]:
@@ -47,7 +39,7 @@ class SRElement:
     __slots__ = ("fan", "terms")
 
     def __init__(self, fan: Fan, terms: Mapping[Exponents, int]):
-        simps = _simplices(fan)
+        simps = fan.simplices
         clean = {}
         for expo, coeff in terms.items():
             if coeff == 0:
@@ -166,7 +158,7 @@ def face_monomials(fan: Fan, degree: int) -> list[Exponents]:
     if k == 0:
         return [(0,) * nrays]
     out = []
-    for simp in _simplices(fan):
+    for simp in fan.simplices:
         s = sorted(simp)
         if not s or len(s) > k:
             continue
@@ -188,7 +180,7 @@ def face_monomial_count(fan: Fan, degree: int) -> int:
     if k == 0:
         return 1
     total = 0
-    for simp in _simplices(fan):
+    for simp in fan.simplices:
         if simp:
             total += comb(k - 1, len(simp) - 1)
     return total
@@ -272,32 +264,11 @@ def ordinary_cohomology(fan: Fan, max_degree: int) -> GradedGroupReport:
 def _cokernel_basis_rows(matrix: list[list[int]], nrows: int) -> list[int]:
     """Row indices whose classes form a Q-basis of coker(matrix).
 
-    Column-reduce over Q; the non-pivot rows survive as a basis of the
-    quotient by the column space.
+    These are the rows not in the span of the rows before them: the
+    non-pivot columns of the transpose.
     """
-    if not matrix:
-        return list(range(nrows))
-    a = [[Fraction(x) for x in row] for row in matrix]
-    ncols = len(a[0])
-    pivots = []
-    col = 0
-    for row in range(nrows):
-        if col >= ncols:
-            break
-        piv = next((j for j in range(col, ncols) if a[row][j] != 0), None)
-        if piv is None:
-            continue
-        for r in range(nrows):
-            a[r][col], a[r][piv] = a[r][piv], a[r][col]
-        for j in range(ncols):
-            if j != col and a[row][j] != 0:
-                f = a[row][j] / a[row][col]
-                for r in range(nrows):
-                    a[r][j] -= f * a[r][col]
-        pivots.append(row)
-        col += 1
-    pivot_set = set(pivots)
-    return [i for i in range(nrows) if i not in pivot_set]
+    pivots = set(echelon(transpose(matrix))[1])
+    return [i for i in range(nrows) if i not in pivots]
 
 
 MVPoly = dict[Exponents, int]
@@ -392,25 +363,10 @@ def check_restriction_injectivity(
         for j, col in enumerate(columns):
             for i, coeff in col.items():
                 matrix[i][j] = coeff
-        from .lattice import rank as qrank
-
-        image_rank = qrank(matrix) if matrix else 0
+        image_rank = rank(matrix)
         entries.append(
             InjectivityEntry(
                 degree=degree, domain_rank=len(monos), image_rank=image_rank
             )
         )
     return InjectivityReport(tuple(entries))
-
-
-def _monomials_of_degree(nvars: int, k: int):
-    if k == 0:
-        yield (0,) * nvars
-        return
-    if nvars == 0:
-        return
-    for cuts in itertools.combinations_with_replacement(range(nvars), k):
-        expo = [0] * nvars
-        for c in cuts:
-            expo[c] += 1
-        yield tuple(expo)

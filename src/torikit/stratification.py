@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .errors import CompletenessError, SmoothnessError
+from .errors import CompletenessError, SmoothnessError, ToricError
 from .fan import Fan, RaySet, incompleteness_reasons, is_smooth_fan
 from .lattice import Vector, pairing, solve_integer
 
@@ -87,10 +87,7 @@ def dual_basis_character(fan: Fan, rayset: RaySet, v: int) -> Vector:
 
     Solvable over Z exactly because the cone is smooth; cached per fan.
     """
-    cache = getattr(fan, "_dual_basis_cache", None)
-    if cache is None:
-        cache = {}
-        fan._dual_basis_cache = cache
+    cache = fan.dual_basis_cache
     key = (tuple(sorted(rayset)), v)
     if key not in cache:
         rows = [list(fan.rays[w]) for w in key[0]]
@@ -180,6 +177,8 @@ def ordinary_poincare_polynomial(fan: Fan) -> list[int]:
     if reasons:
         raise CompletenessError("fan not complete: " + "; ".join(reasons))
     poly = list(equivariant_poincare_series(fan).numerator)
-    assert all(x >= 0 for x in poly), poly
-    assert all(poly[i] == 0 for i in range(1, len(poly), 2)), poly
+    if any(x < 0 for x in poly) or any(poly[1::2]):
+        raise ToricError(
+            f"Poincare polynomial {poly} has a negative or odd-degree coefficient"
+        )
     return poly

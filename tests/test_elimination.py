@@ -1,0 +1,195 @@
+"""The fraction-free elimination kernel and its callers, against sympy and
+brute force."""
+
+import itertools
+
+import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from torikit.cone import _parallelepiped_points
+from torikit.lattice import determinant, echelon, invert_unimodular, rank
+from torikit.rings import _cokernel_basis_rows
+
+# Mostly small entries, so that rank-deficient matrices are common, with
+# occasional entries up to 10^6.
+entries = st.one_of(
+    st.integers(-2, 2), st.integers(-10**6, 10**6)
+)
+
+
+@st.composite
+def matrices(draw, max_rows=6, max_cols=6, square=False):
+    rows = draw(st.integers(0, max_rows))
+    cols = rows if square else draw(st.integers(0 if rows == 0 else 1, max_cols))
+    shape = draw(st.sampled_from(["any", "zero", "low_rank"]))
+    if shape == "zero":
+        return [[0] * cols for _ in range(rows)]
+    m = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+    if shape == "low_rank" and rows > 1:
+        # overwrite later rows with combinations of the first ones
+        base = draw(st.integers(1, rows - 1))
+        for i in range(base, rows):
+            c = [draw(st.integers(-3, 3)) for _ in range(base)]
+            m[i] = [sum(c[k] * m[k][j] for k in range(base)) for j in range(cols)]
+    return m
+
+
+def as_sympy(m, cols=None):
+    rows = len(m)
+    if cols is None:
+        cols = len(m[0]) if rows else 0
+    return sympy.Matrix(rows, cols, [x for row in m for x in row])
+
+
+EDGE_SHAPES = [
+    [],
+    [[0, 0, 0]],
+    [[3, -6, 9]],
+    [[2], [4], [-6]],
+    [[0], [0]],
+    [[0, 0], [0, 0], [0, 0]],
+    [[1, 2], [2, 4], [3, 6], [1, 0]],
+    [[0, 0, 5, 1], [0, 0, 10, 2]],
+    [[10**6, -(10**6)], [10**6 - 1, 10**6]],
+]
+
+
+def check_echelon(m):
+    a, pivots, d, sign = echelon(m)
+    cols = len(m[0]) if m else 0
+    rref, sym_pivots = as_sympy(m, cols).rref()
+    assert pivots == list(sym_pivots)
+    assert sign in (1, -1)
+    assert d != 0
+    assert as_sympy(a, cols) == d * rref
+    assert all(isinstance(x, int) for row in a for x in row)
+
+
+@pytest.mark.parametrize("m", EDGE_SHAPES)
+def test_echelon_edge_shapes(m):
+    check_echelon(m)
+    assert rank(m) == as_sympy(m).rank()
+
+
+def test_empty_matrix():
+    assert echelon([]) == ([], [], 1, 1)
+    assert rank([]) == 0
+    assert determinant([]) == 1
+    assert invert_unimodular([]) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_echelon_is_scaled_rref(m):
+    check_echelon(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(max_rows=8, max_cols=8))
+def test_rank_matches_sympy(m):
+    assert rank(m) == as_sympy(m).rank()
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(square=True))
+def test_determinant_matches_sympy(m):
+    assert determinant(m) == as_sympy(m).det()
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """Products of elementary matrices and signed permutations."""
+    n = draw(st.integers(1, 5))
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 12))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            m[i] = [-x for x in m[i]]
+        else:
+            q = draw(st.integers(-50, 50))
+            m[i] = [x + q * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+@settings(max_examples=100, deadline=None)
+@given(unimodular_matrices())
+def test_invert_unimodular_matches_sympy(m):
+    assert as_sympy(invert_unimodular(m)) == as_sympy(m).inv()
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(square=True))
+def test_invert_unimodular_rejects_other_determinants(m):
+    assume(m and abs(as_sympy(m).det()) != 1)
+    with pytest.raises(ValueError):
+        invert_unimodular(m)
+
+
+def test_invert_unimodular_rejects_non_square():
+    with pytest.raises(ValueError):
+        invert_unimodular([[1, 0]])
+
+
+def greedy_independent_rows(matrix):
+    """Indices of rows that are not in the span of the rows before them."""
+    out = []
+    for i in range(len(matrix)):
+        if as_sympy(matrix[: i + 1]).rank() > as_sympy(matrix[:i]).rank():
+            out.append(i)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(max_rows=8, max_cols=5))
+def test_cokernel_basis_rows_are_the_dependent_rows(m):
+    assume(m)
+    independent = set(greedy_independent_rows(m))
+    expected = [i for i in range(len(m)) if i not in independent]
+    assert _cokernel_basis_rows(m, len(m)) == expected
+
+
+def test_cokernel_basis_rows_without_relations():
+    assert _cokernel_basis_rows([], 3) == [0, 1, 2]
+
+
+def box_points(cols):
+    """Nonzero lattice points of the half-open parallelepiped, by scanning
+    its bounding box: x is inside iff 0 <= adj(G) x / det(G) < 1."""
+    d = len(cols)
+    g = sympy.Matrix(d, d, lambda i, j: cols[j][i])
+    det = int(g.det())
+    adj = [[int(x) * (1 if det > 0 else -1) for x in row] for row in g.adjugate().tolist()]
+    det = abs(det)
+    ranges = [
+        range(
+            sum(min(0, c[i]) for c in cols), sum(max(0, c[i]) for c in cols) + 1
+        )
+        for i in range(d)
+    ]
+    out = set()
+    for x in itertools.product(*ranges):
+        if not any(x):
+            continue
+        if all(0 <= sum(a * v for a, v in zip(row, x)) < det for row in adj):
+            out.add(x)
+    return out
+
+
+@st.composite
+def simplicial_cones(draw):
+    d = draw(st.integers(2, 4))
+    cols = [tuple(draw(st.integers(-3, 3)) for _ in range(d)) for _ in range(d)]
+    det = as_sympy([list(c) for c in cols]).det()
+    assume(0 < abs(det) <= 60)
+    return cols
+
+
+@settings(max_examples=60, deadline=None)
+@given(simplicial_cones())
+def test_parallelepiped_points_match_box_enumeration(cols):
+    pts = _parallelepiped_points(cols)
+    det = abs(as_sympy([list(c) for c in cols]).det())
+    assert len(pts) == len(set(pts)) == det - 1
+    assert set(pts) == box_points(cols)

@@ -11,7 +11,9 @@ from torikit import (
     is_principal,
     picard,
 )
+from torikit.errors import ToricError
 from torikit.lattice import pairing
+from torikit.picard import _in_limit_coordinates
 
 from conftest import COMPLETE_GOLDEN, SMOOTH_GOLDEN, load_fan
 
@@ -122,3 +124,18 @@ def test_picard_affine_plane(affine_plane):
     assert rep.ordinary_rank == 0
     assert rep.ordinary_torsion == ()
     assert rep.equivariant_rank == 2
+
+
+def test_equivariant_picard_is_the_equivariant_part_of_picard():
+    for name in SMOOTH_GOLDEN:
+        fan = load_fan(name)
+        full, eq = picard(fan), equivariant_picard(fan)
+        assert eq.equivariant_rank == full.equivariant_rank, name
+        assert eq.equivariant_torsion == full.equivariant_torsion, name
+        assert eq.equivariant_basis == full.equivariant_basis, name
+        assert eq.ordinary_rank is None and eq.ordinary_torsion is None
+
+
+def test_vector_outside_the_limit_lattice_is_a_toric_error():
+    with pytest.raises(ToricError, match="compatibility lattice"):
+        _in_limit_coordinates([(2, 0), (0, 1)], [1, 0])
