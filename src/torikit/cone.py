@@ -23,6 +23,7 @@ from .lattice import (
     mat_vec,
     pairing,
     primitive,
+    quotient_by_sublattice,
     rank,
     smith_normal_form,
 )
@@ -87,11 +88,7 @@ def double_description(
                 )
             rays = pos + zero + new
         processed.append(a)
-        deduped = []
-        for r in rays:
-            if r not in deduped:
-                deduped.append(r)
-        rays = deduped
+        rays = list(dict.fromkeys(rays))
     return sorted(set(rays)), lineality
 
 
@@ -250,8 +247,6 @@ class Cone:
             return _hilbert_pointed(
                 list(dual.rays), list(self.extreme_rays), self.n
             )
-        from .lattice import quotient_by_sublattice
-
         q = quotient_by_sublattice(self.n, dual.lineality)
         proj = q.projection_matrix()
         lifts = q.lift_basis()

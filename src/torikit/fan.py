@@ -8,6 +8,7 @@ all faces are generated.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -55,6 +56,8 @@ class Fan:
         # Dual basis characters by (cone, ray); filled by
         # stratification.dual_basis_character.
         self.dual_basis_cache: dict[tuple[RaySet, int], Vector] = {}
+        # X(T_sigma) by cone; filled by stabilizer_characters.
+        self.stabilizer_cache: dict[RaySet, QuotientLatticePresentation] = {}
 
     @classmethod
     def from_maximal_cones(
@@ -73,7 +76,7 @@ class Fan:
             cones.add(mc)
             if cone.has_vertex():
                 for f in cone.face_generator_sets:
-                    cones.add(tuple(mc[i] for i in sorted(f)))
+                    cones.add(_face_rayset(mc, f))
         return cls(n, rays, cones, warnings)
 
     def cone(self, rayset: Iterable[int]) -> Cone:
@@ -101,17 +104,19 @@ class Fan:
         return frozenset(frozenset(c) for c in self.cones)
 
     def stabilizer_characters(self, rayset: Iterable[int]) -> QuotientLatticePresentation:
-        """X(T_sigma) = X(T) / (sigma^perp intersect X(T))."""
+        """X(T_sigma) = X(T) / (sigma^perp intersect X(T)), cached per cone."""
         key = tuple(sorted(rayset))
-        gens = [list(self.rays[i]) for i in key]
-        if gens:
-            perp = kernel_basis(gens)
-        else:
-            perp = [
-                tuple(int(i == j) for i in range(self.n))
-                for j in range(self.n)
-            ]
-        return quotient_by_sublattice(self.n, perp)
+        if key not in self.stabilizer_cache:
+            gens = [list(self.rays[i]) for i in key]
+            if gens:
+                perp = kernel_basis(gens)
+            else:
+                perp = [
+                    tuple(int(i == j) for i in range(self.n))
+                    for j in range(self.n)
+                ]
+            self.stabilizer_cache[key] = quotient_by_sublattice(self.n, perp)
+        return self.stabilizer_cache[key]
 
 
 @dataclass
@@ -127,7 +132,29 @@ class ValidationReport:
 
 
 def validate_fan(fan: Fan) -> ValidationReport:
-    """Check the fan axioms and pointedness, exhaustively over cone pairs."""
+    """Check pointedness and the fan axioms (a) and (b).
+
+    (a) Every face of a cone is a cone of the fan.  (b) Two cones meet in
+    a face of each.  Once every cone has a vertex and (a) holds, (b) needs
+    checking only on pairs of maximal cones, which is why the check stops
+    after vertex or axiom-(a) violations.  Proof: let sigma and tau be
+    maximal (possibly equal) and meet in rho, a face of both, and let
+    sigma' <= sigma and tau' <= tau be faces.  Writing & for intersection,
+
+        sigma' & tau' = (sigma' & rho) & (tau' & rho).
+
+    sigma' & rho is the meet of two faces of sigma, so it is a face of
+    sigma lying in rho, hence a face of rho; so is tau' & rho.  Two faces
+    of rho meet in a face of rho, which is a face of sigma contained in
+    sigma', hence a face of sigma', and likewise of tau'.
+
+    The proof needs every cone to be a face of the maximal cones that
+    contain its rays.  Face closure only adds such cones, but a hand-built
+    ``Fan``, or a file listing one cone on a subset of another's rays, can
+    hold a cone on a ray subset that is not a face, such as a ray through
+    the interior of a quadrant.  Each such cone is checked against each
+    maximal cone whose ray set contains it.
+    """
     report = ValidationReport()
     for c in fan.cones:
         cone = fan.cone(c)
@@ -139,32 +166,56 @@ def validate_fan(fan: Fan) -> ValidationReport:
     for c in fan.cones:
         cone = fan.cone(c)
         for f in cone.face_generator_sets:
-            face_rayset = tuple(sorted(c[i] for i in f))
+            face_rayset = _face_rayset(c, f)
             if face_rayset not in cone_set:
                 report.add(
                     "axiom-a",
                     f"face {face_rayset} of cone {c} is missing from the fan",
                 )
-    for i, c1 in enumerate(fan.cones):
-        for c2 in fan.cones[i + 1 :]:
-            k1, k2 = fan.cone(c1), fan.cone(c2)
-            ineqs = list(k1.dual_cone().generators) + list(
-                k2.dual_cone().generators
+    if not report.valid:
+        return report
+    maximal = fan.maximal_cones
+    pairs = list(itertools.combinations(maximal, 2))
+    for d in maximal:
+        faces = {_face_rayset(d, f) for f in fan.cone(d).face_generator_sets}
+        pairs += [
+            (c, d) for c in fan.cones if c not in faces and set(c) < set(d)
+        ]
+    for c1, c2 in pairs:
+        for c in _check_pair(fan, c1, c2):
+            report.add(
+                "axiom-b",
+                f"intersection of cones {c1} and {c2} is not a face of {c}",
             )
-            rays, lin = double_description(ineqs, fan.n)
-            inter = Cone(list(rays) + list(lin) + [tuple(-x for x in l) for l in lin], fan.n)
-            for c, cone in ((c1, k1), (c2, k2)):
-                if not any(
-                    inter.same_cone(
-                        Cone([cone.generators[j] for j in sorted(f)], fan.n)
-                    )
-                    for f in cone.face_generator_sets
-                ):
-                    report.add(
-                        "axiom-b",
-                        f"intersection of cones {c1} and {c2} is not a face of {c}",
-                    )
     return report
+
+
+def _face_rayset(c: RaySet, face: Iterable[int]) -> RaySet:
+    """The ray indices of a face given as indices into ``c``'s generators."""
+    return tuple(c[i] for i in sorted(face))
+
+
+def _check_pair(fan: Fan, c1: RaySet, c2: RaySet) -> list[RaySet]:
+    """Those of ``c1`` and ``c2`` of which their intersection is not a face.
+
+    The intersection's dual is generated by both duals together.  It is
+    compared with each face of a cone through the fan's own face cones,
+    whose duals are cached, so all faces must be in the fan.
+    """
+    k1, k2 = fan.cone(c1), fan.cone(c2)
+    ineqs = list(k1.dual_cone().generators) + list(k2.dual_cone().generators)
+    rays, lin = double_description(ineqs, fan.n)
+    inter = Cone(
+        list(rays) + list(lin) + [tuple(-x for x in l) for l in lin], fan.n
+    )
+    return [
+        c
+        for c, cone in ((c1, k1), (c2, k2))
+        if not any(
+            inter.same_cone(fan.cone(_face_rayset(c, f)))
+            for f in cone.face_generator_sets
+        )
+    ]
 
 
 def is_smooth_fan(fan: Fan) -> bool:

@@ -293,8 +293,7 @@ def restriction_map(
     X(T_sigma) (exponent-vector keyed, integer coefficients).
     """
     key = tuple(sorted(rayset))
-    if key not in set(fan.cones):
-        raise KeyError(f"cone {key} not in fan")
+    fan.cone(key)  # raises KeyError for a ray set that is not a cone
     pres = fan.stabilizer_characters(key)
     d = pres.rank
     out: MVPoly = {}

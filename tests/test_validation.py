@@ -1,0 +1,218 @@
+"""Fan validation on maximal-cone pairs against the all-pairs check.
+
+``exhaustive_validate`` is the check ``validate_fan`` made before it
+restricted axiom (b) to pairs of maximal cones: every pair of cones, faces
+included, each face built afresh.  It is kept here as the reference.  The
+fans come from the benchmark's generator, relabelled, and from two
+perturbations that break them.
+"""
+
+import importlib.util
+import math
+import pathlib
+import random
+import sys
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+import torikit.fan
+from torikit import Fan, validate_fan
+from torikit.cone import Cone, double_description
+from torikit.fan import ValidationReport
+
+from conftest import load_fan
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_fans",
+    pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "fans.py",
+)
+fans = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = fans
+_spec.loader.exec_module(fans)
+
+
+def exhaustive_validate(fan: Fan) -> ValidationReport:
+    """Pointedness, axiom (a), and axiom (b) on every pair of cones."""
+    report = ValidationReport()
+    for c in fan.cones:
+        if not fan.cone(c).has_vertex():
+            report.add("vertex", f"cone {c} contains a line (no vertex)")
+    if not report.valid:
+        return report
+    cone_set = set(fan.cones)
+    for c in fan.cones:
+        for f in fan.cone(c).face_generator_sets:
+            face_rayset = tuple(sorted(c[i] for i in f))
+            if face_rayset not in cone_set:
+                report.add(
+                    "axiom-a",
+                    f"face {face_rayset} of cone {c} is missing from the fan",
+                )
+    for i, c1 in enumerate(fan.cones):
+        for c2 in fan.cones[i + 1 :]:
+            k1, k2 = fan.cone(c1), fan.cone(c2)
+            ineqs = list(k1.dual_cone().generators) + list(
+                k2.dual_cone().generators
+            )
+            rays, lin = double_description(ineqs, fan.n)
+            inter = Cone(
+                list(rays) + list(lin) + [tuple(-x for x in l) for l in lin],
+                fan.n,
+            )
+            for c, cone in ((c1, k1), (c2, k2)):
+                if not any(
+                    inter.same_cone(
+                        Cone([cone.generators[j] for j in sorted(f)], fan.n)
+                    )
+                    for f in cone.face_generator_sets
+                ):
+                    report.add(
+                        "axiom-b",
+                        f"intersection of cones {c1} and {c2} "
+                        f"is not a face of {c}",
+                    )
+    return report
+
+
+def kinds(report: ValidationReport) -> set[str]:
+    return {kind for kind, _ in report.violations}
+
+
+def assert_agree(fan: Fan) -> ValidationReport:
+    fast, slow = validate_fan(fan), exhaustive_validate(fan)
+    assert fast.valid == slow.valid, (fast.violations, slow.violations)
+    assert kinds(fast) == kinds(slow), (fast.violations, slow.violations)
+    return fast
+
+
+FAMILIES = [
+    fans.projective_space(2),
+    fans.projective_space(3),
+    fans.p1_power(2),
+    fans.p1_power(3),
+    *(fans.hirzebruch(a) for a in range(4)),
+    fans.blow_up_points(fans.projective_space(2), 2),
+    fans.blow_up_points(fans.projective_space(3), 1),
+    fans.iterated_blowup_p2(3),
+    fans.weighted_projective_space((1, 1, 2)),
+    fans.weighted_projective_space((1, 2, 3)),
+    fans.weighted_projective_space((1, 1, 1, 2)),
+]
+
+
+def interior_ray(rays, cone):
+    """The sum of the cone's rays, primitive: a ray through its interior."""
+    total = [sum(col) for col in zip(*(rays[i] for i in cone))]
+    g = math.gcd(*total)
+    return tuple(x // g for x in total)
+
+
+def build(n, rays, maxcones) -> Fan:
+    try:
+        return Fan.from_maximal_cones(n, rays, maxcones)
+    except ValueError:  # the perturbation made two rays equal
+        assume(False)
+
+
+@st.composite
+def labelled_fans(draw):
+    data = draw(st.sampled_from(FAMILIES))
+    return fans.relabel(data, random.Random(draw(st.integers(0, 2**16))))
+
+
+SETTINGS = settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+
+
+@SETTINGS
+@given(labelled_fans())
+def test_generated_fans_are_valid_under_both_checks(data):
+    fan = Fan.from_maximal_cones(data.n, data.rays, data.maxcones)
+    assert assert_agree(fan).valid
+
+
+@SETTINGS
+@given(labelled_fans(), st.data())
+def test_overlapping_extra_maximal_cone_is_invalid(data, draw):
+    """Keep a maximal cone and add a copy with one ray swapped for a ray
+    through its interior; the two overlap in a non-face."""
+    sigma = draw.draw(st.sampled_from(data.maxcones))
+    dropped = draw.draw(st.sampled_from(sigma))
+    rays = list(data.rays) + [interior_ray(data.rays, sigma)]
+    extra = tuple(i for i in sigma if i != dropped) + (len(rays) - 1,)
+    fan = build(data.n, rays, list(data.maxcones) + [extra])
+    assert not assert_agree(fan).valid
+
+
+@SETTINGS
+@given(labelled_fans(), st.data())
+def test_ray_moved_into_another_cone_is_invalid(data, draw):
+    v = draw.draw(st.integers(0, len(data.rays) - 1))
+    others = [c for c in data.maxcones if v not in c]
+    assume(others)
+    tau = draw.draw(st.sampled_from(others))
+    rays = list(data.rays)
+    rays[v] = interior_ray(data.rays, tau)
+    fan = build(data.n, rays, data.maxcones)
+    assert not assert_agree(fan).valid
+
+
+QUADRANT_RAYS = ((1, 0), (0, 1), (1, 1))
+
+
+@pytest.mark.parametrize(
+    "fan, valid",
+    [
+        # (2,) and (0, 2) sit on a ray subset of the quadrant that is not
+        # a face of it, so they meet the quadrant in a non-face.
+        (Fan(2, QUADRANT_RAYS, [(), (0,), (1,), (2,), (0, 2), (0, 1, 2)]), False),
+        # (0, 1) spans the same quadrant as (0, 1, 2) on fewer rays.
+        (Fan(2, QUADRANT_RAYS, [(), (0,), (1,), (0, 1), (0, 1, 2)]), True),
+        (Fan(2, ((1, 0), (0, 1)), [(0, 1)]), False),  # faces missing
+        (load_fan("overlap_invalid"), False),
+        (load_fan("a1_singular"), True),
+    ],
+    ids=[
+        "ray-through-quadrant",
+        "quadrant-on-fewer-rays",
+        "faces-missing",
+        "overlap_invalid",
+        "a1_singular",
+    ],
+)
+def test_hand_built_edge_cases(fan, valid):
+    assert assert_agree(fan).valid == valid
+
+
+def test_overlap_fan_reports_only_its_maximal_pair():
+    report = validate_fan(load_fan("overlap_invalid"))
+    assert report.violations == [
+        ("axiom-b", f"intersection of cones (0, 1) and (2, 3) is not a face of {c}")
+        for c in ((0, 1), (2, 3))
+    ]
+
+
+@pytest.mark.parametrize(
+    "data, pairs",
+    [(fans.projective_space(5), 15), (fans.p1_power(4), 120)],
+    ids=["P^5", "(P^1)^4"],
+)
+def test_axiom_b_is_checked_once_per_maximal_pair(monkeypatch, data, pairs):
+    fan = Fan.from_maximal_cones(data.n, data.rays, data.maxcones)
+    assert len(fan.maximal_cones) * (len(fan.maximal_cones) - 1) // 2 == pairs
+    calls = []
+    check_pair = torikit.fan._check_pair
+
+    def counting(*args):
+        calls.append(args[1:])
+        return check_pair(*args)
+
+    monkeypatch.setattr(torikit.fan, "_check_pair", counting)
+    assert validate_fan(fan).valid
+    assert len(calls) == pairs
+    assert all(c in fan.maximal_cones for pair in calls for c in pair)
