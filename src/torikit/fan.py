@@ -19,6 +19,7 @@ from .lattice import (
     QuotientLatticePresentation,
     Vector,
     kernel_basis,
+    pairing,
     primitive,
     quotient_by_sublattice,
 )
@@ -35,6 +36,8 @@ class Fan:
         rays: Sequence[Sequence[int]],
         cones: Iterable[Iterable[int]],
         warnings: Optional[list[str]] = None,
+        *,
+        _built: Optional[dict[RaySet, Cone]] = None,
     ):
         self.n = n
         self.rays: tuple[Vector, ...] = tuple(primitive(r) for r in rays)
@@ -43,10 +46,13 @@ class Fan:
         seen = {tuple(sorted(c)) for c in cones}
         seen.add(())
         self._cone_objs: dict[RaySet, Cone] = {}
+        # ``_built`` holds cones ``from_maximal_cones`` has already built
+        # on the same rays, so that their duals are not computed again.
+        built = _built or {}
         for c in seen:
             if any(i < 0 or i >= len(self.rays) for i in c):
                 raise ValueError(f"ray index out of range in cone {c}")
-            self._cone_objs[c] = Cone(
+            self._cone_objs[c] = built.get(c) or Cone(
                 [self.rays[i] for i in c], n, ray_indices=c
             )
         self.cones: tuple[RaySet, ...] = tuple(
@@ -70,14 +76,16 @@ class Fan:
         """Build a fan by closing the given maximal cones under faces."""
         rays = [primitive(r) for r in rays]
         cones: set[RaySet] = {()}
+        built: dict[RaySet, Cone] = {}
         for mc in maxcones:
             mc = tuple(sorted(mc))
             cone = Cone([rays[i] for i in mc], n, ray_indices=mc)
+            built[mc] = cone
             cones.add(mc)
             if cone.has_vertex():
                 for f in cone.face_generator_sets:
                     cones.add(_face_rayset(mc, f))
-        return cls(n, rays, cones, warnings)
+        return cls(n, rays, cones, warnings, _built=built)
 
     def cone(self, rayset: Iterable[int]) -> Cone:
         key = tuple(sorted(rayset))
@@ -97,6 +105,13 @@ class Fan:
             ):
                 out.append(c)
         return tuple(sorted(out))
+
+    @cached_property
+    def first_singular_cone(self) -> Optional[RaySet]:
+        """The first cone, in ``cones`` order, that is not smooth, or None."""
+        return next(
+            (c for c in self.cones if not self.cone(c).is_smooth()), None
+        )
 
     @cached_property
     def simplices(self) -> frozenset[frozenset[int]]:
@@ -198,28 +213,35 @@ def _face_rayset(c: RaySet, face: Iterable[int]) -> RaySet:
 def _check_pair(fan: Fan, c1: RaySet, c2: RaySet) -> list[RaySet]:
     """Those of ``c1`` and ``c2`` of which their intersection is not a face.
 
-    The intersection's dual is generated by both duals together.  It is
-    compared with each face of a cone through the fan's own face cones,
-    whose duals are cached, so all faces must be in the fan.
+    The intersection's dual is generated by both duals together, so one
+    double description gives the intersection's generators, and a cone
+    lies in the intersection iff its generators satisfy those dual
+    generators.  Each face of a cone is compared with the intersection
+    through the fan's own face cones, whose duals are cached, so all faces
+    must be in the fan.
     """
     k1, k2 = fan.cone(c1), fan.cone(c2)
     ineqs = list(k1.dual_cone().generators) + list(k2.dual_cone().generators)
     rays, lin = double_description(ineqs, fan.n)
-    inter = Cone(
-        list(rays) + list(lin) + [tuple(-x for x in l) for l in lin], fan.n
-    )
+    inter = list(rays) + list(lin) + [tuple(-x for x in l) for l in lin]
+
+    def is_intersection(face: Cone) -> bool:
+        return all(face.contains(g) for g in inter) and all(
+            pairing(a, g) >= 0 for g in face.generators for a in ineqs
+        )
+
     return [
         c
         for c, cone in ((c1, k1), (c2, k2))
         if not any(
-            inter.same_cone(fan.cone(_face_rayset(c, f)))
+            is_intersection(fan.cone(_face_rayset(c, f)))
             for f in cone.face_generator_sets
         )
     ]
 
 
 def is_smooth_fan(fan: Fan) -> bool:
-    return all(fan.cone(c).is_smooth() for c in fan.cones)
+    return fan.first_singular_cone is None
 
 
 def incompleteness_reasons(fan: Fan) -> list[str]:

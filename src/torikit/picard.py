@@ -7,6 +7,11 @@ sigma^perp; Pic(X) = H^2(X) is its further quotient by the constant
 families coming from X(T).  Divisor classes are realized as character
 families with <chi_sigma, mu_v> = -a_v on each ray of sigma (sections of
 the ray divisors are linearized with weight zero).
+
+The limit lattice is a saturated kernel with a basis in Z^(n*m).  The
+coordinates in that basis of the sigma^perp generators, and those of the
+constant families, come from one ``lattice.echelon`` each, not from one
+Smith normal form per vector.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from .errors import IncompatibleFamilyError, ToricError
 from .fan import Fan, RaySet
 from .lattice import (
     Vector,
+    echelon,
     kernel_basis,
     pairing,
     quotient_by_sublattice,
@@ -126,12 +132,38 @@ def _perp_generators(fan: Fan, rayset: RaySet) -> list[Vector]:
     return kernel_basis(gens)
 
 
-def _in_limit_coordinates(basis: Sequence[Vector], vec: Sequence[int]) -> Vector:
-    cols = [[b[i] for b in basis] for i in range(len(vec))]
-    y = solve_integer(cols, list(vec))
-    if y is None:
+def _in_limit_coordinates(
+    basis: Sequence[Vector], vecs: Sequence[Sequence[int]]
+) -> list[Vector]:
+    """The coordinates of each of ``vecs`` in the lattice basis ``basis``.
+
+    One fraction-free elimination of ``[basis columns | vecs]`` reduces it
+    to ``d * [I | Y]``: the basis is linearly independent, so its columns
+    are the pivots, and column ``r + k`` holds ``d`` times the unique
+    rational coordinates of ``vecs[k]``.  A further pivot puts a vector
+    outside the span, a remainder outside the lattice.
+    """
+    if not vecs:
+        return []
+    r = len(basis)
+    a, pivots, d, _ = echelon(
+        [
+            [b[i] for b in basis] + [v[i] for v in vecs]
+            for i in range(len(vecs[0]))
+        ]
+    )
+    if pivots != list(range(r)):
         raise ToricError("vector not in the compatibility lattice")
-    return y
+    coords = []
+    for k in range(r, r + len(vecs)):
+        y = []
+        for row in a[:r]:
+            q, rem = divmod(row[k], d)
+            if rem:
+                raise ToricError("vector not in the compatibility lattice")
+            y.append(q)
+        coords.append(tuple(y))
+    return coords
 
 
 def _equivariant_part(fan: Fan):
@@ -148,19 +180,21 @@ def _equivariant_part(fan: Fan):
     n, m = fan.n, len(maxc)
     r = len(basis)
     # the per-cone sublattices sigma^perp, block-embedded
-    killed = []
+    perps = []
     for i, c in enumerate(maxc):
         for p in _perp_generators(fan, c):
             vec = [0] * (n * m)
             vec[i * n : (i + 1) * n] = p
-            killed.append(_in_limit_coordinates(basis, vec))
+            perps.append(vec)
+    killed = _in_limit_coordinates(basis, perps)
     pres = quotient_by_sublattice(r, killed)
     families = []
     for lift in pres.lift_basis():
-        flat = [
-            sum(lift[j] * basis[j][i] for j in range(r))
-            for i in range(n * m)
-        ]
+        flat = [0] * (n * m)
+        for c, b in zip(lift, basis):
+            if c:
+                for i, x in enumerate(b):
+                    flat[i] += c * x
         families.append(
             CharacterFamily(
                 fan,
@@ -184,10 +218,9 @@ def picard(fan: Fan) -> PicardReport:
     """Pic(X) = H^2_T(X) / X(T) (constant families)."""
     basis, killed, equivariant, families = _equivariant_part(fan)
     n, m = fan.n, len(fan.maximal_cones)
-    constants = [
-        _in_limit_coordinates(basis, [int(k % n == t) for k in range(n * m)])
-        for t in range(n)
-    ]
+    constants = _in_limit_coordinates(
+        basis, [[int(k % n == t) for k in range(n * m)] for t in range(n)]
+    )
     ordinary = quotient_by_sublattice(equivariant.n, killed + constants)
     return PicardReport(
         equivariant_rank=equivariant.rank,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .errors import CompletenessError, SmoothnessError, ToricError
-from .fan import Fan, RaySet, incompleteness_reasons, is_smooth_fan
+from .fan import Fan, RaySet, incompleteness_reasons
 from .lattice import Vector, pairing, solve_integer
 
 
@@ -75,11 +75,11 @@ class PoincareSeries:
 
 
 def require_smooth(fan: Fan) -> None:
-    for c in fan.cones:
-        if not fan.cone(c).is_smooth():
-            raise SmoothnessError(
-                f"fan not smooth: rays of cone {c} are not part of a Z-basis"
-            )
+    c = fan.first_singular_cone
+    if c is not None:
+        raise SmoothnessError(
+            f"fan not smooth: rays of cone {c} are not part of a Z-basis"
+        )
 
 
 def dual_basis_character(fan: Fan, rayset: RaySet, v: int) -> Vector:

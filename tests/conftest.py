@@ -1,10 +1,22 @@
+import importlib.util
 import pathlib
+import sys
 
 import pytest
 
 from torikit import parse_fan
 
-FAN_DIR = pathlib.Path(__file__).resolve().parent.parent / "fans"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FAN_DIR = ROOT / "fans"
+
+# The benchmark's stdlib fan generator (P^n, (P^1)^n, F_a, blow-ups,
+# weighted P(w), relabellings), shared by the tests as ``conftest.fans``.
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_fans", ROOT / "perfbench" / "fans.py"
+)
+fans = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = fans
+_spec.loader.exec_module(fans)
 
 SMOOTH_GOLDEN = ["affine_plane", "p1", "p2", "p1xp1", "hirzebruch1"]
 COMPLETE_GOLDEN = ["p1", "p2", "p1xp1", "hirzebruch1"]

@@ -7,30 +7,20 @@ fans come from the benchmark's generator, relabelled, and from two
 perturbations that break them.
 """
 
-import importlib.util
 import math
-import pathlib
 import random
-import sys
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import torikit.cone
 import torikit.fan
-from torikit import Fan, validate_fan
+from torikit import Fan, parse_fan, validate_fan
 from torikit.cone import Cone, double_description
 from torikit.fan import ValidationReport
 
-from conftest import load_fan
-
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_fans",
-    pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "fans.py",
-)
-fans = importlib.util.module_from_spec(_spec)
-sys.modules[_spec.name] = fans
-_spec.loader.exec_module(fans)
+from conftest import fans, load_fan
 
 
 def exhaustive_validate(fan: Fan) -> ValidationReport:
@@ -216,3 +206,28 @@ def test_axiom_b_is_checked_once_per_maximal_pair(monkeypatch, data, pairs):
     assert validate_fan(fan).valid
     assert len(calls) == pairs
     assert all(c in fan.maximal_cones for pair in calls for c in pair)
+
+
+@pytest.mark.parametrize(
+    "data, count",
+    [(fans.projective_space(4), 41), (fans.p1_power(3), 55)],
+    ids=["P^4", "(P^1)^3"],
+)
+def test_parse_and_validate_make_one_double_description_per_cone_and_pair(
+    monkeypatch, data, count
+):
+    """One dual per cone, built once, and one intersection per maximal
+    pair: 31 + 10 on P^4 and 27 + 28 on (P^1)^3."""
+    calls = []
+    dd = torikit.cone.double_description
+
+    def counting(*args):
+        calls.append(args)
+        return dd(*args)
+
+    monkeypatch.setattr(torikit.cone, "double_description", counting)
+    monkeypatch.setattr(torikit.fan, "double_description", counting)
+    fan = parse_fan(data.text())
+    assert validate_fan(fan).valid
+    pairs = len(fan.maximal_cones) * (len(fan.maximal_cones) - 1) // 2
+    assert len(calls) == len(fan.cones) + pairs == count
