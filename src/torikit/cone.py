@@ -162,6 +162,9 @@ class Cone:
 
     @cached_property
     def extreme_rays(self) -> tuple[Vector, ...]:
+        # Linearly independent generators are the extreme rays already.
+        if len(self.generators) == self.dim:
+            return tuple(sorted(self.generators))
         rays, _ = double_description(self._dual.generators, self.n)
         return tuple(rays)
 
@@ -273,10 +276,6 @@ class Cone:
         return out
 
 
-def _in_dual(x: Vector, normals: Sequence[Vector]) -> bool:
-    return all(pairing(x, nu) >= 0 for nu in normals)
-
-
 def _hilbert_pointed(
     gens: list[Vector], normals: list[Vector], d: int
 ) -> list[Vector]:
@@ -286,7 +285,9 @@ def _hilbert_pointed(
     Candidates are the generators plus the lattice points of the half-open
     parallelepipeds of a triangulation; reducible candidates (x - y stays
     in the cone for an accepted y) are discarded in increasing order of a
-    strictly positive linear functional.
+    strictly positive linear functional.  x - y lies in the cone exactly
+    when y's values on ``normals`` are at most x's, so each candidate's
+    values are computed once.
     """
     if not gens:
         return []
@@ -299,14 +300,14 @@ def _hilbert_pointed(
     ell = tuple(sum(nu[i] for nu in normals) for i in range(d))
     ordered = sorted(candidates, key=lambda x: (pairing(ell, x), x))
     basis: list[Vector] = []
+    accepted: list[list[int]] = []
     for x in ordered:
-        reducible = any(
-            _in_dual(tuple(a - b for a, b in zip(x, y)), normals)
-            for y in basis
-            if y != x
-        )
-        if not reducible:
+        values = [pairing(x, nu) for nu in normals]
+        if not any(
+            all(a <= b for a, b in zip(y, values)) for y in accepted
+        ):
             basis.append(x)
+            accepted.append(values)
     return sorted(basis)
 
 

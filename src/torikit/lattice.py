@@ -8,9 +8,9 @@ pairing.  Everything here is a pure function of immutable data.
 Elimination over Q has one kernel, ``echelon``: fraction-free (Bareiss)
 Gauss-Jordan elimination on integers.  ``rank``, ``determinant`` and
 ``invert_unimodular`` are read off it, and so are the parallelepiped
-inverse in ``cone``, the cokernel basis rows in ``rings`` and the
-limit-lattice coordinates in ``picard``.  Smith normal form is separate:
-it uses unimodular row and column operations over Z.
+inverse in ``cone`` and the cokernel basis rows in ``rings``.  Smith
+normal form is separate: it uses unimodular row and column operations
+over Z.
 """
 
 from __future__ import annotations

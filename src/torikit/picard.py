@@ -1,35 +1,28 @@
-"""Equivariant and ordinary Picard groups as inverse limits of character
-lattices.
+"""Equivariant and ordinary Picard groups of a smooth fan, on ray
+coordinates.
 
-H^2_T(X) is the subgroup of tuples (chi_sigma) over maximal cones that
-agree on pairwise intersections, modulo the per-cone sublattices
-sigma^perp; Pic(X) = H^2(X) is its further quotient by the constant
-families coming from X(T).  Divisor classes are realized as character
-families with <chi_sigma, mu_v> = -a_v on each ray of sigma (sections of
-the ray divisors are linearized with weight zero).
-
-The limit lattice is a saturated kernel with a basis in Z^(n*m).  The
-coordinates in that basis of the sigma^perp generators, and those of the
-constant families, come from one ``lattice.echelon`` each, not from one
-Smith normal form per vector.
+H^2_T(X) is the inverse limit of the character lattices X(T_sigma) over
+the maximal cones: tuples (chi_sigma), each taken modulo sigma^perp, that
+agree on pairwise intersections.  Pic(X) = H^2(X) is its quotient by the
+constant families coming from X(T).  On a smooth fan the dual basis makes
+X(T_sigma) = Z^(rays of sigma), so a compatible family is exactly its
+values <chi_sigma, mu_v> on the rays v lying in some maximal cone:
+H^2_T(X) = Z^rays, and Pic(X) = coker(X(T) -> Z^rays), one Smith normal
+form of the ray coordinates (Cox, Little and Schenck, *Toric Varieties*,
+Ch. 4 and Ch. 12).  Divisor classes are realized as character families
+with <chi_sigma, mu_v> = -a_v on each ray of sigma (sections of the ray
+divisors are linearized with weight zero).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .errors import IncompatibleFamilyError, ToricError
+from .errors import IncompatibleFamilyError
 from .fan import Fan, RaySet
-from .lattice import (
-    Vector,
-    echelon,
-    kernel_basis,
-    pairing,
-    quotient_by_sublattice,
-    solve_integer,
-)
-from .stratification import require_smooth
+from .lattice import Vector, pairing, quotient_by_sublattice, solve_integer
+from .stratification import dual_basis_character, require_smooth
 
 
 @dataclass(frozen=True)
@@ -93,147 +86,49 @@ class PicardReport:
     ordinary_torsion: Optional[tuple[int, ...]] = None
 
 
-def _limit_lattice(fan: Fan):
-    """Solve the compatibility system for tuples over maximal cones.
+def picard(fan: Fan) -> PicardReport:
+    """Pic_T(X) = Z^rays and Pic(X) = Z^rays / X(T), over the used rays.
 
-    Returns (basis, maxc): integer basis vectors in Z^(n*m) of the
-    saturated lattice of compatible tuples.
-    """
-    maxc = fan.maximal_cones
-    n, m = fan.n, len(maxc)
-    rows: list[list[int]] = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            common = tuple(sorted(set(maxc[i]) & set(maxc[j])))
-            # chi_i - chi_j must vanish on the span of the common face,
-            # i.e. pair to zero with each of its rays.
-            for v in common:
-                row = [0] * (n * m)
-                mu = fan.rays[v]
-                for t in range(n):
-                    row[i * n + t] = mu[t]
-                    row[j * n + t] = -mu[t]
-                rows.append(row)
-    if rows:
-        basis = kernel_basis(rows)
-    else:
-        basis = [
-            tuple(int(i == j) for i in range(n * m)) for j in range(n * m)
-        ]
-    return basis, maxc
-
-
-def _perp_generators(fan: Fan, rayset: RaySet) -> list[Vector]:
-    gens = [list(fan.rays[i]) for i in rayset]
-    if not gens:
-        return [
-            tuple(int(i == j) for i in range(fan.n)) for j in range(fan.n)
-        ]
-    return kernel_basis(gens)
-
-
-def _in_limit_coordinates(
-    basis: Sequence[Vector], vecs: Sequence[Sequence[int]]
-) -> list[Vector]:
-    """The coordinates of each of ``vecs`` in the lattice basis ``basis``.
-
-    One fraction-free elimination of ``[basis columns | vecs]`` reduces it
-    to ``d * [I | Y]``: the basis is linearly independent, so its columns
-    are the pivots, and column ``r + k`` holds ``d`` times the unique
-    rational coordinates of ``vecs[k]``.  A further pivot puts a vector
-    outside the span, a remainder outside the lattice.
-    """
-    if not vecs:
-        return []
-    r = len(basis)
-    a, pivots, d, _ = echelon(
-        [
-            [b[i] for b in basis] + [v[i] for v in vecs]
-            for i in range(len(vecs[0]))
-        ]
-    )
-    if pivots != list(range(r)):
-        raise ToricError("vector not in the compatibility lattice")
-    coords = []
-    for k in range(r, r + len(vecs)):
-        y = []
-        for row in a[:r]:
-            q, rem = divmod(row[k], d)
-            if rem:
-                raise ToricError("vector not in the compatibility lattice")
-            y.append(q)
-        coords.append(tuple(y))
-    return coords
-
-
-def _equivariant_part(fan: Fan):
-    """H^2_T(X) as the limit lattice modulo the per-cone sublattices
-    sigma^perp, via one Smith normal form.
-
-    Returns (basis, killed, pres, families): ``basis`` spans the limit
-    lattice in Z^(n*m), ``killed`` are the sigma^perp generators in its
-    coordinates, ``pres`` is the quotient and ``families`` lift its free
-    basis.
+    A ray counts when it lies in some maximal cone.  Basis family ``v``
+    is the dual basis character of ``v`` on each maximal cone through
+    ``v`` and zero elsewhere; character ``e_t`` maps to the t-th
+    coordinates of the rays.
     """
     require_smooth(fan)
-    basis, maxc = _limit_lattice(fan)
-    n, m = fan.n, len(maxc)
-    r = len(basis)
-    # the per-cone sublattices sigma^perp, block-embedded
-    perps = []
-    for i, c in enumerate(maxc):
-        for p in _perp_generators(fan, c):
-            vec = [0] * (n * m)
-            vec[i * n : (i + 1) * n] = p
-            perps.append(vec)
-    killed = _in_limit_coordinates(basis, perps)
-    pres = quotient_by_sublattice(r, killed)
-    families = []
-    for lift in pres.lift_basis():
-        flat = [0] * (n * m)
-        for c, b in zip(lift, basis):
-            if c:
-                for i, x in enumerate(b):
-                    flat[i] += c * x
-        families.append(
-            CharacterFamily(
-                fan,
-                tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(m)),
-            )
+    maxc = fan.maximal_cones
+    used = sorted({v for c in maxc for v in c})
+    zero = (0,) * fan.n
+    families = tuple(
+        CharacterFamily(
+            fan,
+            tuple(
+                dual_basis_character(fan, c, v) if v in c else zero
+                for c in maxc
+            ),
         )
-    return basis, killed, pres, tuple(families)
-
-
-def equivariant_picard(fan: Fan) -> PicardReport:
-    """H^2_T(X) = lim X(T_sigma) over maximal cones."""
-    _, _, pres, families = _equivariant_part(fan)
-    return PicardReport(
-        equivariant_rank=pres.rank,
-        equivariant_torsion=pres.torsion,
-        equivariant_basis=families,
+        for v in used
     )
-
-
-def picard(fan: Fan) -> PicardReport:
-    """Pic(X) = H^2_T(X) / X(T) (constant families)."""
-    basis, killed, equivariant, families = _equivariant_part(fan)
-    n, m = fan.n, len(fan.maximal_cones)
-    constants = _in_limit_coordinates(
-        basis, [[int(k % n == t) for k in range(n * m)] for t in range(n)]
+    ordinary = quotient_by_sublattice(
+        len(used), [[fan.rays[v][t] for v in used] for t in range(fan.n)]
     )
-    ordinary = quotient_by_sublattice(equivariant.n, killed + constants)
     return PicardReport(
-        equivariant_rank=equivariant.rank,
-        equivariant_torsion=equivariant.torsion,
+        equivariant_rank=len(used),
+        equivariant_torsion=(),
         equivariant_basis=families,
         ordinary_rank=ordinary.rank,
         ordinary_torsion=ordinary.torsion,
     )
 
 
+def equivariant_picard(fan: Fan) -> PicardReport:
+    """Pic_T(X) alone: ``picard`` without the ordinary part."""
+    return replace(picard(fan), ordinary_rank=None, ordinary_torsion=None)
+
+
 def divisor_class(fan: Fan, coeffs: Sequence[int]) -> CharacterFamily:
     """Family of the divisor sum_v a_v D_v: <chi_sigma, mu_v> = -a_v on
-    every ray v of sigma (weight-zero linearization of the sections)."""
+    every ray v of sigma (weight-zero linearization of the sections), so
+    chi_sigma = -sum_v a_v times the dual basis character of v on sigma."""
     require_smooth(fan)
     if len(coeffs) != len(fan.rays):
         raise ValueError(
@@ -241,14 +136,13 @@ def divisor_class(fan: Fan, coeffs: Sequence[int]) -> CharacterFamily:
         )
     chars = []
     for c in fan.maximal_cones:
-        rows = [list(fan.rays[v]) for v in c]
-        rhs = [-coeffs[v] for v in c]
-        chi = solve_integer(rows, rhs)
-        if chi is None:
-            raise IncompatibleFamilyError(
-                f"no integral character on cone {c}; cone is not smooth"
+        duals = [dual_basis_character(fan, c, v) for v in c]
+        chars.append(
+            tuple(
+                -sum(coeffs[v] * chi[t] for v, chi in zip(c, duals))
+                for t in range(fan.n)
             )
-        chars.append(chi)
+        )
     family = CharacterFamily(fan, tuple(chars))
     family.check_compatible()
     return family

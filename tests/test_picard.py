@@ -2,12 +2,14 @@ import importlib
 import random
 import sys
 from collections import Counter
+from functools import partial
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import torikit.cone
+import torikit.fan
 import torikit.lattice
 from torikit import (
     CharacterFamily,
@@ -20,9 +22,15 @@ from torikit import (
     parse_fan,
     picard,
 )
-from torikit.errors import ToricError
-from torikit.lattice import kernel_basis, pairing, rank, solve_integer
-from torikit.picard import _equivariant_part, _in_limit_coordinates
+from torikit.lattice import (
+    determinant,
+    kernel_basis,
+    pairing,
+    quotient_by_sublattice,
+    rank,
+    solve_integer,
+)
+from torikit.picard import PicardReport
 
 from conftest import COMPLETE_GOLDEN, SMOOTH_GOLDEN, fans, load_fan
 
@@ -148,43 +156,8 @@ def test_equivariant_picard_is_the_equivariant_part_of_picard():
         assert eq.ordinary_rank is None and eq.ordinary_torsion is None
 
 
-def test_vector_outside_the_limit_lattice_is_a_toric_error():
-    with pytest.raises(ToricError, match="compatibility lattice"):
-        _in_limit_coordinates([(2, 0), (0, 1)], [[1, 0]])
-    # outside the span, not only outside the lattice
-    with pytest.raises(ToricError, match="compatibility lattice"):
-        _in_limit_coordinates([(1, 0, 0)], [[0, 1, 0]])
-
-
-@st.composite
-def saturated_bases(draw):
-    """A kernel basis of a random integer matrix, and lattice vectors."""
-    cols = draw(st.integers(2, 7))
-    rows = draw(st.integers(1, cols - 1))
-    row = st.lists(st.integers(-6, 6), min_size=cols, max_size=cols)
-    basis = kernel_basis(draw(st.lists(row, min_size=rows, max_size=rows)))
-    coeff = st.lists(st.integers(-9, 9), min_size=len(basis), max_size=len(basis))
-    coeffs = draw(st.lists(coeff, max_size=4))
-    vecs = [
-        [sum(c * b[i] for c, b in zip(cs, basis)) for i in range(cols)]
-        for cs in coeffs
-    ]
-    return basis, vecs, coeffs
-
-
-@settings(max_examples=80, deadline=None)
-@given(saturated_bases())
-def test_batched_coordinates_match_per_vector_solves(case):
-    basis, vecs, coeffs = case
-    cols = [[b[i] for b in basis] for i in range(len(basis[0]))]
-    batched = _in_limit_coordinates(basis, vecs)
-    assert batched == [solve_integer(cols, v) for v in vecs]
-    assert batched == [tuple(cs) for cs in coeffs]
-    assert _in_limit_coordinates(basis, []) == []
-
-
 SMALL_INCOMPLETE = {
-    # full-dimensional maximal cones: sigma^perp is 0, nothing is killed
+    # full-dimensional maximal cones: sigma^perp is 0
     "affine plane": (((1, 0), (0, 1)), [(0, 1)]),
     "P^2 minus a cone": (((1, 0), (0, 1), (-1, -1)), [(0, 1), (1, 2)]),
     "(P^1)^2 minus two opposite cones": (
@@ -195,47 +168,161 @@ SMALL_INCOMPLETE = {
         ((1, 0), (0, 1), (-1, 0)),
         [(0, 1), (1, 2)],
     ),
-    # lower-dimensional maximal cones: sigma^perp is killed
+    # lower-dimensional maximal cones: sigma^perp is not 0
     "rays of P^2": (((1, 0), (0, 1), (-1, -1)), [(0,), (1,), (2,)]),
     "C x C*": (((1, 0),), [(0,)]),
     "P^1 x C*": (((1, 0), (-1, 0)), [(0,), (1,)]),
+    # the rays span a sublattice of index 2: Pic is Z/2
+    "torsion Z/2": (((1, 0), (1, 2)), [(0,), (1,)]),
+    # ray 2 lies in no cone and does not count
+    "unused ray": (((1, 0), (0, 1), (-1, -1)), [(0, 1)]),
 }
 
 
 @pytest.mark.parametrize("name", SMALL_INCOMPLETE)
 def test_incomplete_smooth_fans_against_the_ray_oracle(name):
-    """On a smooth fan H^2_T is Z^rays and Pic is its quotient by X(T),
-    whose image has the rank of the span of the rays (Cox, Little and
-    Schenck, Ch. 4); each of these fans has a unimodular ray matrix, so
-    there is no torsion."""
+    """On a smooth fan H^2_T is Z^rays over the rays in some cone, and Pic
+    is its quotient by X(T), whose image has the rank r of the span of
+    those rays (Cox, Little and Schenck, Ch. 4); the order of the torsion
+    is the gcd of the r x r minors of their matrix."""
     rays, maxcones = SMALL_INCOMPLETE[name]
     fan = Fan.from_maximal_cones(2, rays, maxcones)
+    used = [rays[v] for v in sorted({v for c in maxcones for v in c})]
+    r = rank([list(mu) for mu in used])
+    minors = [
+        determinant([[mu[t] for t in cols] for mu in sub])
+        for sub in combinations(used, r)
+        for cols in combinations(range(2), r)
+    ]
     rep = picard(fan)
-    assert rep.equivariant_rank == len(rays)
+    assert rep.equivariant_rank == len(used)
     assert rep.equivariant_torsion == ()
-    assert rep.ordinary_rank == len(rays) - rank([list(r) for r in rays])
-    assert rep.ordinary_torsion == ()
-    killed = _equivariant_part(fan)[1]
-    full = all(len(c) == 2 for c in maxcones)
-    assert (not killed) == full
+    assert rep.ordinary_rank == len(used) - r
+    assert prod(rep.ordinary_torsion) == abs(gcd(*minors))
 
 
-SNF_CALLERS = (
-    "_limit_lattice",
-    "_perp_generators",
-    "quotient_by_sublattice",
-    "require_smooth",
-)
+def reference_picard(fan):
+    """The inverse limit as the paper builds it, kept as an oracle.
+
+    Compatible tuples over the m maximal cones form a saturated kernel in
+    Z^(n*m); H^2_T is that lattice modulo the block-embedded sublattices
+    sigma^perp, Pic its further quotient by the constant families.  Their
+    coordinates in the kernel basis come from one integer solve each.
+    """
+    maxc = fan.maximal_cones
+    n, m = fan.n, len(maxc)
+    rows = []
+    for (i, a), (j, b) in combinations(enumerate(maxc), 2):
+        for v in sorted(set(a) & set(b)):
+            row = [0] * (n * m)
+            row[i * n : (i + 1) * n] = fan.rays[v]
+            row[j * n : (j + 1) * n] = [-x for x in fan.rays[v]]
+            rows.append(row)
+    identity = [tuple(int(i == j) for i in range(n * m)) for j in range(n * m)]
+    basis = kernel_basis(rows) if rows else identity
+    columns = [[b[k] for b in basis] for k in range(n * m)]
+
+    def coordinates(vec):
+        x = solve_integer(columns, vec)
+        assert x is not None, "vector outside the limit lattice"
+        return x
+
+    killed = []
+    for i, c in enumerate(maxc):
+        gens = [list(fan.rays[v]) for v in c]
+        perp = kernel_basis(gens) if gens else identity[:n]
+        for p in perp:
+            vec = [0] * (n * m)
+            vec[i * n : (i + 1) * n] = p
+            killed.append(coordinates(vec))
+    equivariant = quotient_by_sublattice(len(basis), killed)
+    families = []
+    for lift in equivariant.lift_basis():
+        flat = [sum(c * b[k] for c, b in zip(lift, basis)) for k in range(n * m)]
+        families.append(
+            CharacterFamily(
+                fan, tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(m))
+            )
+        )
+    constants = [
+        coordinates([int(k % n == t) for k in range(n * m)]) for t in range(n)
+    ]
+    ordinary = quotient_by_sublattice(len(basis), killed + constants)
+    return PicardReport(
+        equivariant_rank=equivariant.rank,
+        equivariant_torsion=equivariant.torsion,
+        equivariant_basis=tuple(families),
+        ordinary_rank=ordinary.rank,
+        ordinary_torsion=ordinary.torsion,
+    )
+
+
+def ray_values(fan, basis):
+    """<chi_sigma, mu_v> of each family on each ray v in some maximal cone,
+    read on the first maximal cone through v."""
+    used = sorted({v for c in fan.maximal_cones for v in c})
+    first = {v: next(c for c in fan.maximal_cones if v in c) for v in used}
+    return [
+        [pairing(fam.char_for(first[v]), fan.rays[v]) for v in used]
+        for fam in basis
+    ]
+
+
+REFERENCE_FAMILIES = [
+    fans.projective_space(2),
+    fans.projective_space(3),
+    fans.p1_power(3),
+    *(fans.hirzebruch(a) for a in range(4)),
+    fans.blow_up_points(fans.projective_space(2), 2),
+    fans.blow_up_points(fans.projective_space(3), 2),
+    fans.iterated_blowup_p2(19),
+    fans.iterated_blowup_p2(22),
+]
+
+
+def relabelled(data, seed):
+    return parse_fan(fans.relabel(data, random.Random(seed)).text())
+
+
+REFERENCE_CASES = {name: partial(load_fan, name) for name in SMOOTH_GOLDEN}
+for data in REFERENCE_FAMILIES:
+    for seed in range(4):
+        REFERENCE_CASES[f"{data.name} #{seed}"] = partial(relabelled, data, seed)
+for name, (rays, maxcones) in SMALL_INCOMPLETE.items():
+    REFERENCE_CASES[name] = partial(Fan.from_maximal_cones, 2, rays, maxcones)
+
+
+@pytest.mark.parametrize("name", REFERENCE_CASES)
+def test_picard_agrees_with_the_inverse_limit(name):
+    """Same ranks and torsion as the inverse limit, and the two bases span
+    the same lattice: on the rays, the ray-coordinate basis is the
+    identity and the limit-lattice basis is unimodular."""
+    fan = REFERENCE_CASES[name]()
+    rep, ref = picard(fan), reference_picard(fan)
+    assert rep.equivariant_rank == ref.equivariant_rank
+    assert rep.equivariant_torsion == ref.equivariant_torsion == ()
+    assert rep.ordinary_rank == ref.ordinary_rank
+    assert rep.ordinary_torsion == ref.ordinary_torsion
+    k = rep.equivariant_rank
+    identity = [[int(i == j) for j in range(k)] for i in range(k)]
+    assert ray_values(fan, rep.equivariant_basis) == identity
+    assert determinant(ray_values(fan, ref.equivariant_basis)) in (1, -1)
+    for fam in rep.equivariant_basis + ref.equivariant_basis:
+        fam.check_compatible()
+
+
+SNF_CALLERS = ("quotient_by_sublattice", "require_smooth", "dual_basis_character")
 
 
 def test_picard_makes_one_elimination_for_its_coordinates(monkeypatch):
-    """On a complete fan nothing is killed, so the constant families are
-    the only coordinates to find: one echelon, no Smith normal form."""
+    """Pic is the cokernel of X(T) -> Z^rays: one Smith normal form of the
+    2 x 25 matrix of ray coordinates, and no kernel of any matrix."""
     fan = parse_fan(fans.iterated_blowup_p2(22).text())
     assert len(fan.maximal_cones) == 25
     snf_callers = Counter()
-    echelons = []
-    snf, echelon = torikit.lattice.smith_normal_form, picard_module.echelon
+    quotients, kernels = [], []
+    snf, quotient = torikit.lattice.smith_normal_form, picard_module.quotient_by_sublattice
+    kernel = torikit.lattice.kernel_basis
 
     def counting_snf(*args):
         frame, caller = sys._getframe(1), "elsewhere"
@@ -247,23 +334,27 @@ def test_picard_makes_one_elimination_for_its_coordinates(monkeypatch):
         snf_callers[caller] += 1
         return snf(*args)
 
-    def counting_echelon(*args):
-        echelons.append(args)
-        return echelon(*args)
+    def counting_quotient(n, generators):
+        quotients.append((n, [len(g) for g in generators]))
+        return quotient(n, generators)
+
+    def counting_kernel(*args):
+        kernels.append(args)
+        return kernel(*args)
 
     monkeypatch.setattr(torikit.lattice, "smith_normal_form", counting_snf)
     monkeypatch.setattr(torikit.cone, "smith_normal_form", counting_snf)
-    monkeypatch.setattr(picard_module, "echelon", counting_echelon)
+    monkeypatch.setattr(picard_module, "quotient_by_sublattice", counting_quotient)
+    for module in (torikit.lattice, torikit.cone, torikit.fan):
+        monkeypatch.setattr(module, "kernel_basis", counting_kernel)
     rep = picard(fan)
     assert rep.ordinary_rank == 23
-    assert len(echelons) == 1
-    assert snf_callers["_limit_lattice"] == 1
-    assert snf_callers["_perp_generators"] == 25
-    # the equivariant quotient has no generators and needs no SNF
+    assert kernels == []
+    assert quotients == [(25, [25, 25])]
     assert snf_callers["quotient_by_sublattice"] == 1
     assert snf_callers["require_smooth"] > 0
     assert "elsewhere" not in snf_callers
-    # the smoothness verdict is kept on the fan
+    # the smoothness verdict and the dual basis characters are kept on the fan
     snf_callers.clear()
     picard(fan)
-    assert "require_smooth" not in snf_callers
+    assert snf_callers == {"quotient_by_sublattice": 1}

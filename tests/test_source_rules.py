@@ -4,10 +4,13 @@
   fraction-free: no module imports ``fractions``.
 * Preconditions and internal checks raise ``ToricError``; ``assert`` is
   stripped under ``python -O``, so the package has none.
+* No dead helpers: every private (``_name``) module-level function and
+  method is referenced somewhere in the package outside its own body.
 """
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -31,3 +34,45 @@ def test_no_fractions_and_no_assert(path):
             names = []
         assert "fractions" not in names, f"{path.name}:{node.lineno} imports fractions"
         assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno} uses assert"
+
+
+def _references(tree: ast.AST) -> Counter:
+    """Names loaded, attributes read and names imported within ``tree``."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name] += 1
+    return out
+
+
+def _private_definitions(tree: ast.Module):
+    """Module-level functions and methods named ``_name`` (not dunders)."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        for member in members:
+            if (
+                isinstance(member, functions)
+                and member.name.startswith("_")
+                and not member.name.endswith("__")
+            ):
+                yield member
+
+
+def test_every_private_helper_is_referenced():
+    trees = {
+        p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+        for p in MODULES
+    }
+    total = sum((_references(t) for t in trees.values()), Counter())
+    dead = [
+        f"{name}:{d.lineno} {d.name}"
+        for name, tree in trees.items()
+        for d in _private_definitions(tree)
+        if total[d.name] - _references(d)[d.name] <= 0
+    ]
+    assert not dead, f"private helpers referenced nowhere else: {dead}"
