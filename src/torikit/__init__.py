@@ -48,7 +48,6 @@ from .rings import (
     check_restriction_injectivity,
     face_monomial_count,
     face_monomials,
-    multiply,
     ordinary_cohomology,
     restriction_map,
     sr_monomial,

@@ -34,7 +34,6 @@ EXIT_INPUT = 2
 @dataclass
 class RunConfig:
     path: str
-    command: str
     max_degree: int = 20
     fmt: str = "text"
     verbose: bool = False
@@ -319,7 +318,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     config = RunConfig(
         path=args.fanfile,
-        command=args.command,
         max_degree=args.max_degree,
         fmt=args.format,
         verbose=args.verbose,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import PointednessError, ToricError
 from .lattice import (
@@ -120,7 +120,6 @@ class Cone:
         self,
         generators: Sequence[Sequence[int]],
         ambient_dim: int,
-        ray_indices: Optional[Sequence[int]] = None,
     ):
         gens = []
         for g in generators:
@@ -133,7 +132,6 @@ class Cone:
                 gens.append(p)
         self.generators: tuple[Vector, ...] = tuple(gens)
         self.n = ambient_dim
-        self.ray_indices = tuple(ray_indices) if ray_indices is not None else None
 
     def __repr__(self):
         return f"Cone({list(self.generators)}, n={self.n})"
@@ -220,18 +218,6 @@ class Cone:
                         nxt.add(g)
             frontier = nxt
         return sorted(faces, key=lambda s: (len(s), sorted(s)))
-
-    def faces(self) -> list["Cone"]:
-        """All faces including 0 and the cone itself."""
-        out = []
-        for s in self.face_generator_sets:
-            idx = None
-            if self.ray_indices is not None:
-                idx = [self.ray_indices[i] for i in sorted(s)]
-            out.append(
-                Cone([self.generators[i] for i in sorted(s)], self.n, idx)
-            )
-        return out
 
     def hilbert_basis(self) -> list[Vector]:
         """Minimal generating set of the monoid sigma^v intersect X(T).

@@ -52,9 +52,7 @@ class Fan:
         for c in seen:
             if any(i < 0 or i >= len(self.rays) for i in c):
                 raise ValueError(f"ray index out of range in cone {c}")
-            self._cone_objs[c] = built.get(c) or Cone(
-                [self.rays[i] for i in c], n, ray_indices=c
-            )
+            self._cone_objs[c] = built.get(c) or Cone([self.rays[i] for i in c], n)
         self.cones: tuple[RaySet, ...] = tuple(
             sorted(seen, key=lambda c: (self._cone_objs[c].dim, c))
         )
@@ -79,7 +77,7 @@ class Fan:
         built: dict[RaySet, Cone] = {}
         for mc in maxcones:
             mc = tuple(sorted(mc))
-            cone = Cone([rays[i] for i in mc], n, ray_indices=mc)
+            cone = Cone([rays[i] for i in mc], n)
             built[mc] = cone
             cones.add(mc)
             if cone.has_vertex():

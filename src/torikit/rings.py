@@ -4,6 +4,12 @@ Elements are kept in the face-monomial basis at all times: a monomial
 whose support is not a simplex is zero and never stored, so equality and
 grading are immediate and no Groebner machinery is needed.  Generators
 x_v sit in degree 2, one per ray.
+
+On a smooth fan the restriction to the orbit strata is injective in
+every degree, and ``check_restriction_injectivity`` reads its rank off
+the face monomials themselves: in the ray coordinates of each X(T_sigma)
+every face monomial restricts to itself on the cones containing its
+support.  ``restriction_map`` gives the restriction in SNF coordinates.
 """
 
 from __future__ import annotations
@@ -20,17 +26,28 @@ from .lattice import (
     diagonal_of,
     echelon,
     pairing,
-    rank,
     smith_normal_form,
     transpose,
 )
 from .stratification import dual_basis_character, require_smooth
 
 Exponents = tuple[int, ...]
+MVPoly = dict[Exponents, int]
 
 
 def _support(expo: Exponents) -> frozenset[int]:
     return frozenset(i for i, e in enumerate(expo) if e > 0)
+
+
+def _mv_mul(p: MVPoly, q: MVPoly) -> MVPoly:
+    """Product of two polynomials keyed by exponent vectors; zero terms
+    are dropped.  Serves the face ring and the strata's Sym X(T_sigma)."""
+    out: MVPoly = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c != 0}
 
 
 class SRElement:
@@ -55,12 +72,6 @@ class SRElement:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree_terms(self, degree: int) -> dict[Exponents, int]:
-        """Terms of cohomological degree ``degree`` (= 2 * total exponent)."""
-        return {
-            e: c for e, c in self.terms.items() if 2 * sum(e) == degree
-        }
 
     def __eq__(self, other):
         return (
@@ -90,12 +101,7 @@ class SRElement:
         )
 
     def __mul__(self, other: "SRElement") -> "SRElement":
-        out: dict[Exponents, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return SRElement(self.fan, out)
+        return SRElement(self.fan, _mv_mul(self.terms, other.terms))
 
     def __repr__(self):
         if not self.terms:
@@ -126,10 +132,6 @@ def sr_variable(fan: Fan, v: int) -> SRElement:
 
 def sr_monomial(fan: Fan, expo: Sequence[int], coeff: int = 1) -> SRElement:
     return SRElement(fan, {tuple(expo): coeff})
-
-
-def multiply(a: SRElement, b: SRElement) -> SRElement:
-    return a * b
 
 
 @dataclass(frozen=True)
@@ -271,18 +273,6 @@ def _cokernel_basis_rows(matrix: list[list[int]], nrows: int) -> list[int]:
     return [i for i in range(nrows) if i not in pivots]
 
 
-MVPoly = dict[Exponents, int]
-
-
-def _mv_mul(p: MVPoly, q: MVPoly) -> MVPoly:
-    out: MVPoly = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c != 0}
-
-
 def restriction_map(
     fan: Fan, element: SRElement, rayset: Iterable[int]
 ) -> MVPoly:
@@ -341,28 +331,28 @@ class InjectivityReport:
 def check_restriction_injectivity(
     fan: Fan, max_degree: int
 ) -> InjectivityReport:
-    """Rank-check (over Q) the restriction of each graded piece to the
-    product of the strata's cohomologies."""
+    """Rank (over Q) of the restriction of each graded piece to the
+    product of the strata's cohomologies, read off in ray coordinates.
+
+    The fan is required to be smooth, so on each cone sigma the dual basis
+    characters chi_v (v in sigma) map to a Z-basis of X(T_sigma).  The SNF
+    coordinates of ``restriction_map`` therefore differ from these ray
+    coordinates by a degree-preserving automorphism of Sym X(T_sigma), one
+    per cone, and a block-diagonal automorphism of the target does not
+    change the rank of the stacked matrix.  In ray coordinates a face
+    monomial m restricts to sigma as the same monomial when supp(m) lies
+    in sigma, and as 0 otherwise, so every row (sigma, e) of the stacked
+    matrix has exactly one nonzero entry.  The nonzero columns then have
+    disjoint supports, so the rank is the number of nonzero columns: the
+    monomials whose support lies in some cone, that is, is the ray set of
+    a cone, since every set of rays of a smooth cone spans a face of it.
+    """
     require_smooth(fan)
+    simps = fan.simplices
     entries = []
     for degree in range(0, max_degree + 1, 2):
         monos = face_monomials(fan, degree)
-        row_index: dict[tuple, int] = {}
-        columns = [dict() for _ in monos]
-        for c in fan.cones:
-            for j, m in enumerate(monos):
-                poly = restriction_map(fan, sr_monomial(fan, m), c)
-                for e, coeff in poly.items():
-                    key = (c, e)
-                    if key not in row_index:
-                        row_index[key] = len(row_index)
-                    columns[j][row_index[key]] = coeff
-        nrows = len(row_index)
-        matrix = [[0] * len(monos) for _ in range(nrows)]
-        for j, col in enumerate(columns):
-            for i, coeff in col.items():
-                matrix[i][j] = coeff
-        image_rank = rank(matrix)
+        image_rank = sum(_support(m) in simps for m in monos)
         entries.append(
             InjectivityEntry(
                 degree=degree, domain_rank=len(monos), image_rank=image_rank

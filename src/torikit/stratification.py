@@ -108,11 +108,6 @@ class Stratum:
     # dual basis character lifts, one per ray of the cone, in ray order
     normal_weights: tuple[Vector, ...]
 
-    @property
-    def euler_rays(self) -> RaySet:
-        """E_k is the squarefree monomial on exactly these rays."""
-        return self.rayset
-
 
 @dataclass(frozen=True)
 class Stratification:

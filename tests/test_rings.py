@@ -1,4 +1,7 @@
 import random
+import sys
+from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -12,6 +15,7 @@ from torikit import (
     face_monomial_count,
     face_monomials,
     ordinary_cohomology,
+    parse_fan,
     restriction_map,
     sr_monomial,
     sr_one,
@@ -20,10 +24,10 @@ from torikit import (
     sr_zero,
     stratify,
 )
-from torikit.lattice import invert_unimodular, mat_vec
-from torikit.rings import _mv_mul
+from torikit.lattice import invert_unimodular, mat_vec, rank
+from torikit.rings import InjectivityEntry, _mv_mul
 
-from conftest import COMPLETE_GOLDEN, SMOOTH_GOLDEN, load_fan
+from conftest import COMPLETE_GOLDEN, SMOOTH_GOLDEN, fans, load_fan
 
 
 def test_presentation_p2(p2):
@@ -237,3 +241,89 @@ def test_injectivity_on_golden_fans():
         for e in report.entries:
             assert e.domain_rank == e.image_rank
             assert e.degree % 2 == 0
+
+
+def reference_injectivity(fan, max_degree):
+    """The total restriction as a matrix, kept as an oracle: one column per
+    face monomial, one row per (cone, monomial of Sym X(T_sigma)) in the
+    SNF coordinates of ``restriction_map``, and its exact rank."""
+    entries = []
+    for degree in range(0, max_degree + 1, 2):
+        monos = face_monomials(fan, degree)
+        row_index = {}
+        columns = [dict() for _ in monos]
+        for c in fan.cones:
+            for j, m in enumerate(monos):
+                poly = restriction_map(fan, sr_monomial(fan, m), c)
+                for e, coeff in poly.items():
+                    columns[j][row_index.setdefault((c, e), len(row_index))] = coeff
+        matrix = [[0] * len(monos) for _ in row_index]
+        for j, col in enumerate(columns):
+            for i, coeff in col.items():
+                matrix[i][j] = coeff
+        entries.append(
+            InjectivityEntry(
+                degree=degree, domain_rank=len(monos), image_rank=rank(matrix)
+            )
+        )
+    return tuple(entries)
+
+
+def relabelled(data, seed):
+    return parse_fan(fans.relabel(data, random.Random(seed)).text())
+
+
+INJECTIVITY_CASES = {name: (partial(load_fan, name), 10) for name in SMOOTH_GOLDEN}
+for data in (
+    fans.projective_space(2),
+    fans.projective_space(3),
+    fans.p1_power(3),
+    *(fans.hirzebruch(a) for a in range(4)),
+    fans.blow_up_points(fans.projective_space(3), 2),
+    fans.iterated_blowup_p2(19),
+):
+    for seed in range(2):
+        INJECTIVITY_CASES[f"{data.name} #{seed}"] = (partial(relabelled, data, seed), 8)
+
+
+@pytest.mark.parametrize("name", INJECTIVITY_CASES)
+def test_injectivity_count_agrees_with_the_restriction_matrix(name):
+    load, max_degree = INJECTIVITY_CASES[name]
+    fan = load()
+    report = check_restriction_injectivity(fan, max_degree)
+    assert report.entries == reference_injectivity(fan, max_degree)
+    assert report.all_injective
+
+
+ELIMINATIONS = ("restriction_map", "rank", "echelon", "smith_normal_form")
+
+
+def test_injectivity_builds_no_restriction_matrix(monkeypatch):
+    """On P^3 at degree 10 the report is a count of face monomials: no
+    restriction map and no elimination outside the smoothness check."""
+    fan = parse_fan(fans.projective_space(3).text())
+    calls = Counter()
+
+    def counting(name, fn, *args, **kwargs):
+        frame, caller = sys._getframe(1), "elsewhere"
+        while frame is not None:
+            if frame.f_code.co_name == "require_smooth":
+                caller = "require_smooth"
+                break
+            frame = frame.f_back
+        calls[name, caller] += 1
+        return fn(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("torikit."):
+            for name in ELIMINATIONS:
+                fn = vars(module).get(name)
+                if fn is not None:
+                    monkeypatch.setattr(module, name, partial(counting, name, fn))
+    report = check_restriction_injectivity(fan, 10)
+    assert [e.image_rank for e in report.entries] == [
+        face_monomial_count(fan, d) for d in range(0, 11, 2)
+    ]
+    assert report.all_injective
+    assert calls[("smith_normal_form", "require_smooth")] > 0
+    assert {caller for _, caller in calls} == {"require_smooth"}, calls

@@ -1,12 +1,18 @@
+from functools import partial
+
 import pytest
 
 from torikit import (
     CompletenessError,
     SmoothnessError,
     certify_perfection,
+    check_restriction_injectivity,
     dual_basis_character,
     equivariant_poincare_series,
+    ordinary_cohomology,
     ordinary_poincare_polynomial,
+    picard,
+    sr_presentation,
     stratify,
 )
 from torikit.lattice import pairing
@@ -38,9 +44,24 @@ def test_dual_basis_characters_p2(p2):
                 assert pairing(chi, p2.rays[w]) == (1 if w == v else 0)
 
 
-def test_dual_basis_character_requires_smooth(a1_singular):
-    with pytest.raises(SmoothnessError):
-        stratify(a1_singular)
+SMOOTH_ONLY = {
+    "stratify": stratify,
+    "sr_presentation": sr_presentation,
+    "ordinary_cohomology": partial(ordinary_cohomology, max_degree=4),
+    "check_restriction_injectivity": partial(
+        check_restriction_injectivity, max_degree=4
+    ),
+    "equivariant_poincare_series": equivariant_poincare_series,
+    "picard": picard,
+}
+
+
+@pytest.mark.parametrize("entry", SMOOTH_ONLY)
+def test_entry_points_require_smooth(entry, a1_singular):
+    # cone((0,1),(2,-1)) has index 2: its rays are not part of a Z-basis,
+    # so there is no integral dual basis to restrict or count with
+    with pytest.raises(SmoothnessError, match=r"cone \(0, 1\)"):
+        SMOOTH_ONLY[entry](a1_singular)
 
 
 def test_stratification_order_is_filtered(p2):
