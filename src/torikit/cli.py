@@ -8,6 +8,7 @@ schema documented in the README.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -284,7 +285,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls of
+    ``main`` (each ``parse_args`` starts from a fresh namespace)."""
     parser = argparse.ArgumentParser(
         prog="torikit",
         description="Invariants of toric varieties from rational polyhedral fans",

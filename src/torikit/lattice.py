@@ -5,19 +5,25 @@ lists of rows.  Characters of the torus live in X(T) = Z^n, one-parameter
 subgroups in Y(T) = Z^n, dual to each other under the standard dot-product
 pairing.  Everything here is a pure function of immutable data.
 
-Elimination over Q has one kernel, ``echelon``: fraction-free (Bareiss)
-Gauss-Jordan elimination on integers.  ``rank``, ``determinant`` and
-``invert_unimodular`` are read off it, and so are the parallelepiped
-inverse in ``cone`` and the cokernel basis rows in ``rings``.  Smith
-normal form is separate: it uses unimodular row and column operations
-over Z.
+Dense elimination over Q has one kernel, ``echelon``: fraction-free
+(Bareiss) Gauss-Jordan elimination on integers.  ``rank``, ``determinant``
+and ``invert_unimodular`` are read off it, and so is the parallelepiped
+inverse in ``cone``.  Smith normal form is separate: it uses unimodular
+row and column operations over Z.
+
+Large sparse matrices, such as the relations of the graded pieces in
+``rings``, have a sparse kernel with two jobs on rows kept as dicts:
+``elementary_divisors`` eliminates unit pivots in Markowitz order and
+hands what is left to ``smith_normal_form``, and ``dependent_rows``
+reduces rows in order against a sparse echelon of primitive rows.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional, Sequence
+from typing import Hashable, Mapping, Optional, Sequence
 
 from .errors import ShapeError
 
@@ -224,6 +230,192 @@ def smith_normal_form(
 
 def diagonal_of(d: Sequence[Sequence[int]]) -> list[int]:
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+
+
+SparseRow = Mapping[Hashable, int]
+
+
+def _resize(buckets: dict, size: dict, key, n: int) -> None:
+    """File ``key`` under its new count ``n`` (0 drops it)."""
+    old = size.get(key, 0)
+    if old == n:
+        return
+    if old:
+        buckets[old].discard(key)
+    if n:
+        size[key] = n
+        buckets.setdefault(n, set()).add(key)
+    else:
+        del size[key]
+
+
+def _markowitz_unit_pivot(rows, cols, row_buckets, col_buckets):
+    """The +-1 entry (row, column) of least Markowitz cost (r-1)(c-1), r
+    and c the counts of its row and column, or None if there is none.
+
+    Columns and rows are searched by increasing count k, as in Duff's
+    MA28, and the search stops once the best cost is at most k*k: every
+    entry not yet seen has a row and a column of more than k entries."""
+    best, best_cost = None, 0
+    top = max(max(row_buckets, default=0), max(col_buckets, default=0))
+    for k in range(1, top + 1):
+        for c in col_buckets.get(k, ()):
+            for i in cols[c]:
+                if rows[i][c] in (1, -1):
+                    cost = (len(rows[i]) - 1) * (k - 1)
+                    if best is None or cost < best_cost:
+                        if not cost:
+                            return i, c
+                        best, best_cost = (i, c), cost
+        for i in row_buckets.get(k, ()):
+            for c, x in rows[i].items():
+                if x in (1, -1):
+                    cost = (k - 1) * (len(cols[c]) - 1)
+                    if best is None or cost < best_cost:
+                        if not cost:
+                            return i, c
+                        best, best_cost = (i, c), cost
+        if best is not None and best_cost <= k * k:
+            break
+    return best
+
+
+def elementary_divisors(vectors: Sequence[SparseRow]) -> list[int]:
+    """Nonzero elementary divisors of the integer matrix whose rows are the
+    sparse ``vectors`` (missing keys are zero entries), in divisibility-chain
+    order.  A matrix and its transpose have the same divisors, so the
+    vectors may just as well be its columns.
+
+    Unit pivots go first, least fill first (Markowitz; Dumas, Saunders and
+    Villard, "On efficient sparse integer matrix Smith normal form
+    computations", J. Symb. Comput. 2001).  Clearing a +-1 pivot's column
+    by row operations is unimodular, and its row is then cleared by column
+    operations that change no other entry, so each unit pivot splits off a
+    divisor 1 and leaves the rest of the matrix with the same divisors.
+    What is left when no entry is a unit goes to ``smith_normal_form``.
+    """
+    rows: dict[int, dict] = {}
+    cols: dict = {}
+    for i, v in enumerate(vectors):
+        row = {c: x for c, x in v.items() if x}
+        if row:
+            rows[i] = row
+            for c in row:
+                cols.setdefault(c, set()).add(i)
+    row_buckets: dict[int, set] = {}
+    col_buckets: dict[int, set] = {}
+    row_size: dict = {}
+    col_size: dict = {}
+    for i, row in rows.items():
+        _resize(row_buckets, row_size, i, len(row))
+    for c, members in cols.items():
+        _resize(col_buckets, col_size, c, len(members))
+    units = 0
+    while True:
+        pivot = _markowitz_unit_pivot(rows, cols, row_buckets, col_buckets)
+        if pivot is None:
+            break
+        top, c0 = pivot
+        prow = rows.pop(top)
+        _resize(row_buckets, row_size, top, 0)
+        for c in prow:
+            cols[c].discard(top)
+        p = prow.pop(c0)
+        for i in cols.pop(c0):
+            row = rows[i]
+            f = row.pop(c0) * p  # = row[c0] / p, as p = +-1
+            for c, x in prow.items():
+                y = row.get(c, 0) - f * x
+                if y:
+                    if c not in row:
+                        cols[c].add(i)
+                    row[c] = y
+                elif c in row:
+                    del row[c]
+                    cols[c].discard(i)
+            if not row:
+                del rows[i]
+            _resize(row_buckets, row_size, i, len(row))
+        _resize(col_buckets, col_size, c0, 0)
+        for c in prow:
+            n = len(cols[c])
+            if not n:
+                del cols[c]
+            _resize(col_buckets, col_size, c, n)
+        units += 1
+    rest: list[int] = []
+    if rows:
+        where = {c: j for j, c in enumerate(cols)}
+        block = []
+        for row in rows.values():
+            dense = [0] * len(where)
+            for c, x in row.items():
+                dense[where[c]] = x
+            block.append(dense)
+        rest = [x for x in diagonal_of(smith_normal_form(block)[1]) if x]
+    return [1] * units + rest
+
+
+def dependent_rows(rows: Sequence[SparseRow]) -> list[int]:
+    """Indices of the rows that lie in the Q-span of the rows before them.
+
+    The other rows are the greedy row basis, so the unit vectors at the
+    dependent indices are a Q-basis of the cokernel of the matrix (the
+    matrix restricted to the other rows has full rank).  Each row r is
+    reduced in turn against a sparse echelon of primitive integer rows,
+    one per independent row so far: for the pivot column c of an echelon
+    row p, r <- a*r - b*p with a*r[c] = b*p[c], and r is divided by its
+    content when a is not a unit.  Each echelon row is zero on the pivot columns of the rows
+    stored before it, so eliminating pivots in the order they were stored
+    never brings back one already eliminated.  What is left is zero
+    exactly when r is dependent; otherwise it is stored, with an entry of
+    least absolute value as its pivot.
+    """
+    echelon_rows: dict = {}  # pivot column -> (order stored, row)
+    out = []
+    for index, v in enumerate(rows):
+        r = {c: x for c, x in v.items() if x}
+        heap = [(echelon_rows[c][0], c) for c in r if c in echelon_rows]
+        heapq.heapify(heap)
+        while heap:
+            c = heapq.heappop(heap)[1]
+            x = r.get(c)
+            if x is None:
+                continue
+            p = echelon_rows[c][1]
+            q = p[c]
+            g = gcd(x, q)
+            a, b = q // g, x // g
+            if a != 1:
+                for k in r:
+                    r[k] *= a
+            for k, y in p.items():
+                z = r.get(k, 0) - b * y
+                if z:
+                    if k not in r and k in echelon_rows:
+                        heapq.heappush(heap, (echelon_rows[k][0], k))
+                    r[k] = z
+                else:
+                    r.pop(k, None)
+            if a not in (1, -1):
+                _divide_by_content(r)
+        if r:
+            _divide_by_content(r)
+            pivot = min(r, key=lambda k: abs(r[k]))
+            echelon_rows[pivot] = (len(echelon_rows), r)
+        else:
+            out.append(index)
+    return out
+
+
+def _divide_by_content(r: dict) -> None:
+    g = 0
+    for x in r.values():
+        g = gcd(g, x)
+        if g == 1:
+            return
+    for k in r:
+        r[k] //= g
 
 
 def solve_integer(

@@ -5,6 +5,14 @@ whose support is not a simplex is zero and never stored, so equality and
 grading are immediate and no Groebner machinery is needed.  Generators
 x_v sit in degree 2, one per ray.
 
+Ordinary cohomology is the face ring modulo the linear forms of X(T).
+The relations of each graded piece are sparse rows built straight from
+the ray coordinates.  The sparse kernel of ``lattice`` reads the rank and
+torsion off their elementary divisors, and the basis off the rows that
+lie in the span of the rows before them.  No dense matrix is built; the
+dense Smith normal form sees only a block without unit entries, and on
+the smooth complete fans tested there is none.
+
 On a smooth fan the restriction to the orbit strata is injective in
 every degree, and ``check_restriction_injectivity`` reads its rank off
 the face monomials themselves: in the ray coordinates of each X(T_sigma)
@@ -21,14 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import CompletenessError
 from .fan import Fan, RaySet, incompleteness_reasons, simplicial_complex
-from .lattice import (
-    Vector,
-    diagonal_of,
-    echelon,
-    pairing,
-    smith_normal_form,
-    transpose,
-)
+from .lattice import Vector, dependent_rows, elementary_divisors, pairing
 from .stratification import dual_basis_character, require_smooth
 
 Exponents = tuple[int, ...]
@@ -217,60 +218,47 @@ class GradedGroupReport:
 
 def ordinary_cohomology(fan: Fan, max_degree: int) -> GradedGroupReport:
     """Graded pieces of the face ring modulo the linear forms of a basis
-    of X(T), each presented as an integer cokernel via Smith normal form.
+    of X(T), each presented as an integer cokernel.
+
+    In degree d the relations are the products theta_j * m' of the linear
+    form theta_j = sum_v <e_j, mu_v> x_v with a face monomial m' of degree
+    d - 2.  They are built as sparse rows straight from ray coordinates:
+    the row of a face monomial m has the entry mu_v[j] in column
+    (j, m - e_v) for each ray v in supp(m), and no other, because
+    theta_j * m' has the term mu_v[j] * (m' + e_v) exactly when supp(m')
+    together with v is a simplex, and every subset of a simplex is one.
+    The rank and torsion come from ``lattice.elementary_divisors``, the
+    basis from ``lattice.dependent_rows``.
     """
     require_smooth(fan)
     reasons = incompleteness_reasons(fan)
     if reasons:
         raise CompletenessError("fan not complete: " + "; ".join(reasons))
-    thetas = [
-        char_to_linear_form(fan, [int(i == j) for i in range(fan.n)])
-        for j in range(fan.n)
-    ]
     pieces = []
+    lower: dict[Exponents, int] = {}
     for degree in range(0, max_degree + 1, 2):
-        rows = face_monomials(fan, degree)
-        index = {m: i for i, m in enumerate(rows)}
-        cols = []
-        if degree >= 2:
-            for theta in thetas:
-                for m in face_monomials(fan, degree - 2):
-                    prod = theta * sr_monomial(fan, m)
-                    col = [0] * len(rows)
-                    for e, c in prod.terms.items():
-                        col[index[e]] = c
-                    cols.append(col)
-        if cols:
-            matrix = [[col[i] for col in cols] for i in range(len(rows))]
-            _, d, _ = smith_normal_form(matrix)
-            divisors = [x for x in diagonal_of(d) if x != 0]
-        else:
-            divisors = []
-        rank_rel = len(divisors)
-        free_rank = len(rows) - rank_rel
-        torsion = tuple(x for x in divisors if x > 1)
-        basis = _cokernel_basis_rows(
-            matrix if cols else [], len(rows)
-        )
+        monos = face_monomials(fan, degree)
+        relations = []
+        for m in monos:
+            row = {}
+            for v, e in enumerate(m):
+                if e:
+                    col = fan.n * lower[m[:v] + (e - 1,) + m[v + 1:]]
+                    for j, x in enumerate(fan.rays[v]):
+                        if x:
+                            row[col + j] = x
+            relations.append(row)
+        divisors = elementary_divisors(relations)
         pieces.append(
             GradedPiece(
                 degree=degree,
-                rank=free_rank,
-                torsion=torsion,
-                basis=tuple(rows[i] for i in basis),
+                rank=len(monos) - len(divisors),
+                torsion=tuple(x for x in divisors if x > 1),
+                basis=tuple(monos[i] for i in dependent_rows(relations)),
             )
         )
+        lower = {m: i for i, m in enumerate(monos)}
     return GradedGroupReport(tuple(pieces))
-
-
-def _cokernel_basis_rows(matrix: list[list[int]], nrows: int) -> list[int]:
-    """Row indices whose classes form a Q-basis of coker(matrix).
-
-    These are the rows not in the span of the rows before them: the
-    non-pivot columns of the transpose.
-    """
-    pivots = set(echelon(transpose(matrix))[1])
-    return [i for i in range(nrows) if i not in pivots]
 
 
 def restriction_map(

@@ -2,6 +2,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -146,3 +147,36 @@ def test_main_callable_in_process(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "valid" in out
+
+
+def test_repeated_calls_in_one_process_match_fresh_calls(capsys):
+    # the parser is built once per process; options of one call must not
+    # carry over into the next
+    sequence = [
+        ["betti", "fans/p2.fan", "--ordinary"],
+        ["betti", "fans/p2.fan"],
+        ["hilbert", "fans/p2.fan", "--cone", "0"],
+        ["hilbert", "fans/p2.fan"],
+        ["ring", "fans/p2.fan", "--max-degree", "2", "--format", "json"],
+        ["ring", "fans/p2.fan"],
+    ]
+    for args in sequence:
+        code = main([args[0], str(ROOT / args[1])] + args[2:])
+        fresh = run_cli(args)
+        assert code == fresh.returncode == 0, args
+        assert capsys.readouterr().out == fresh.stdout, args
+
+
+def test_ring_to_a_high_degree_is_quick(capsys):
+    # every piece above the top degree 4 is zero; the relations are sparse
+    # and all their pivots are units
+    start = time.perf_counter()
+    code = main(["ring", str(ROOT / "fans" / "p2.fan"), "--max-degree", "100", "--format", "json"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    pieces = json.loads(capsys.readouterr().out)["cohomology"]
+    assert [p["degree"] for p in pieces] == list(range(0, 101, 2))
+    assert [p["rank"] for p in pieces[:3]] == [1, 1, 1]
+    for p in pieces[3:]:
+        assert (p["rank"], p["torsion"], p["basis"]) == (0, [], []), p["degree"]
+    assert elapsed < 5, elapsed

@@ -1,5 +1,6 @@
-"""The fraction-free elimination kernel and its callers, against sympy and
-brute force."""
+"""The fraction-free elimination kernel and its callers, and the sparse
+kernel for elementary divisors and dependent rows, against sympy, the dense
+Smith normal form and brute force."""
 
 import itertools
 
@@ -7,10 +8,21 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import invariant_factors
 
 from torikit.cone import _parallelepiped_points
-from torikit.lattice import determinant, echelon, invert_unimodular, rank
-from torikit.rings import _cokernel_basis_rows
+from torikit.lattice import (
+    dependent_rows,
+    determinant,
+    diagonal_of,
+    echelon,
+    elementary_divisors,
+    invert_unimodular,
+    mat_mul,
+    rank,
+    smith_normal_form,
+    transpose,
+)
 
 # Mostly small entries, so that rank-deficient matrices are common, with
 # occasional entries up to 10^6.
@@ -98,10 +110,8 @@ def test_determinant_matches_sympy(m):
     assert determinant(m) == as_sympy(m).det()
 
 
-@st.composite
-def unimodular_matrices(draw):
-    """Products of elementary matrices and signed permutations."""
-    n = draw(st.integers(1, 5))
+def draw_unimodular(draw, n):
+    """A product of elementary matrices and signed permutations."""
     m = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(draw(st.integers(0, 12))):
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
@@ -111,6 +121,11 @@ def unimodular_matrices(draw):
             q = draw(st.integers(-50, 50))
             m[i] = [x + q * y for x, y in zip(m[i], m[j])]
     return m
+
+
+@st.composite
+def unimodular_matrices(draw):
+    return draw_unimodular(draw, draw(st.integers(1, 5)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -141,17 +156,102 @@ def greedy_independent_rows(matrix):
     return out
 
 
+def sparse(m):
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
+
+
 @settings(max_examples=100, deadline=None)
 @given(matrices(max_rows=8, max_cols=5))
 def test_cokernel_basis_rows_are_the_dependent_rows(m):
-    assume(m)
     independent = set(greedy_independent_rows(m))
     expected = [i for i in range(len(m)) if i not in independent]
-    assert _cokernel_basis_rows(m, len(m)) == expected
+    assert dependent_rows(sparse(m)) == expected
 
 
 def test_cokernel_basis_rows_without_relations():
-    assert _cokernel_basis_rows([], 3) == [0, 1, 2]
+    # zero rows lie in the span of nothing
+    assert dependent_rows([{}, {}, {}]) == [0, 1, 2]
+    assert dependent_rows([]) == []
+
+
+@st.composite
+def sparse_matrices(draw, max_rows=9, max_cols=9):
+    """Mostly zero entries, with units, small non-units and a few large
+    values; some rows are copies or multiples of earlier ones."""
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    entry = st.one_of(
+        st.just(0), st.just(0), st.just(0), st.sampled_from([1, -1, 2, -3, 4, 6]),
+        st.integers(-10**6, 10**6),
+    )
+    m = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    for i in range(1, rows):
+        if draw(st.booleans()) and draw(st.booleans()):
+            k, q = draw(st.integers(0, i - 1)), draw(st.integers(-3, 3))
+            m[i] = [q * x for x in m[k]]
+    return m
+
+
+@st.composite
+def with_known_divisors(draw):
+    """U * D * V for random unimodular U and V and a diagonal D whose
+    chain has units, non-units (so that a block without unit entries is
+    left after the unit pivots) and zeros."""
+    chain = draw(st.sampled_from([(2, 6), (1, 2, 6), (1, 1, 3, 3), (1, 4, 8, 24), (5,)]))
+    zeros = draw(st.integers(0, 2))
+    rows = len(chain) + zeros + draw(st.integers(0, 1))
+    cols = len(chain) + zeros + draw(st.integers(0, 1))
+    d = [[0] * cols for _ in range(rows)]
+    for i, x in enumerate(chain):
+        d[i][i] = x
+    m = mat_mul(mat_mul(draw_unimodular(draw, rows), d), draw_unimodular(draw, cols))
+    return m, list(chain)
+
+
+def dense_divisors(m):
+    return [x for x in diagonal_of(smith_normal_form(m)[1]) if x]
+
+
+def sympy_divisors(m):
+    return [abs(int(x)) for x in invariant_factors(as_sympy(m), domain=sympy.ZZ) if x]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(sparse_matrices(), matrices(max_rows=7, max_cols=7)))
+def test_elementary_divisors_match_the_dense_smith_normal_form(m):
+    assume(m)
+    want = dense_divisors(m)
+    assert elementary_divisors(sparse(m)) == want
+    assert elementary_divisors(sparse(transpose(m))) == want
+    assert want == sympy_divisors(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(with_known_divisors())
+def test_elementary_divisors_of_products_with_unimodular_matrices(case):
+    m, chain = case
+    assert elementary_divisors(sparse(m)) == chain
+    assert elementary_divisors(sparse(transpose(m))) == chain
+    assert dense_divisors(m) == chain
+
+
+@pytest.mark.parametrize(
+    "m, want",
+    [
+        ([], []),
+        ([[0, 0, 0], [0, 0, 0]], []),
+        ([[2, 0, 0], [0, 6, 0], [0, 0, 0]], [2, 6]),  # nothing but the dense block
+        ([[1, 0, 0, 0], [0, 4, 0, 0], [0, 0, 6, 0]], [1, 2, 12]),
+        ([[0, 4, -6, 0, 10]], [2]),  # a single row
+        ([[0], [9], [0], [-12]], [3]),  # a single column
+        ([[1, 1], [1, -1]], [1, 2]),  # a unit pivot leaves a non-unit entry
+    ],
+)
+def test_elementary_divisors_edge_cases(m, want):
+    assert elementary_divisors(sparse(m)) == want
+    if m:
+        assert dense_divisors(m) == want
+        assert sympy_divisors(m) == want
 
 
 def box_points(cols):

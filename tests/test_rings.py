@@ -24,8 +24,16 @@ from torikit import (
     sr_zero,
     stratify,
 )
-from torikit.lattice import invert_unimodular, mat_vec, rank
-from torikit.rings import InjectivityEntry, _mv_mul
+from torikit.lattice import (
+    diagonal_of,
+    echelon,
+    invert_unimodular,
+    mat_vec,
+    rank,
+    smith_normal_form,
+    transpose,
+)
+from torikit.rings import GradedPiece, InjectivityEntry, _mv_mul
 
 from conftest import COMPLETE_GOLDEN, SMOOTH_GOLDEN, fans, load_fan
 
@@ -325,5 +333,90 @@ def test_injectivity_builds_no_restriction_matrix(monkeypatch):
         face_monomial_count(fan, d) for d in range(0, 11, 2)
     ]
     assert report.all_injective
+    assert calls[("smith_normal_form", "require_smooth")] > 0
+    assert {caller for _, caller in calls} == {"require_smooth"}, calls
+
+
+def reference_cohomology(fan, max_degree):
+    """The graded pieces by the dense construction, kept as an oracle: the
+    relation matrix has one column per product theta_j * m' (through
+    ``char_to_linear_form`` and face-ring multiplication), its divisors are
+    the nonzero diagonal of a dense Smith normal form, and the basis rows
+    are the non-pivot columns of the Bareiss ``echelon`` of its transpose."""
+    thetas = [
+        char_to_linear_form(fan, [int(i == j) for i in range(fan.n)])
+        for j in range(fan.n)
+    ]
+    pieces = []
+    for degree in range(0, max_degree + 1, 2):
+        rows = face_monomials(fan, degree)
+        index = {m: i for i, m in enumerate(rows)}
+        cols = []
+        if degree >= 2:
+            for theta in thetas:
+                for m in face_monomials(fan, degree - 2):
+                    col = [0] * len(rows)
+                    for e, c in (theta * sr_monomial(fan, m)).terms.items():
+                        col[index[e]] = c
+                    cols.append(col)
+        matrix = transpose(cols)
+        divisors = [x for x in diagonal_of(smith_normal_form(matrix)[1]) if x] if cols else []
+        pivots = set(echelon(cols)[1])
+        pieces.append(
+            GradedPiece(
+                degree=degree,
+                rank=len(rows) - len(divisors),
+                torsion=tuple(x for x in divisors if x > 1),
+                basis=tuple(m for i, m in enumerate(rows) if i not in pivots),
+            )
+        )
+    return tuple(pieces)
+
+
+COHOMOLOGY_CASES = {
+    name: (partial(load_fan, name), 2 * load_fan(name).n + 2) for name in COMPLETE_GOLDEN
+}
+for data, max_degree in (
+    (fans.projective_space(3), 10),
+    (fans.p1_power(3), 8),
+    *((fans.hirzebruch(a), 10) for a in range(4)),
+    (fans.blow_up_points(fans.projective_space(3), 2), 8),
+):
+    for seed in range(2):
+        COHOMOLOGY_CASES[f"{data.name} #{seed}"] = (partial(relabelled, data, seed), max_degree)
+
+
+@pytest.mark.parametrize("name", COHOMOLOGY_CASES)
+def test_ordinary_cohomology_agrees_with_the_dense_construction(name):
+    load, max_degree = COHOMOLOGY_CASES[name]
+    fan = load()
+    assert ordinary_cohomology(fan, max_degree).pieces == reference_cohomology(fan, max_degree)
+
+
+def test_ordinary_cohomology_pivots_only_on_units(monkeypatch):
+    """On P^3 at degree 10 every pivot of the relations is a unit, so
+    ``ordinary_cohomology`` runs no dense elimination outside the
+    smoothness check."""
+    fan = parse_fan(fans.projective_space(3).text())
+    calls = Counter()
+
+    def counting(name, fn, *args, **kwargs):
+        frame, caller = sys._getframe(1), "elsewhere"
+        while frame is not None:
+            if frame.f_code.co_name == "require_smooth":
+                caller = "require_smooth"
+                break
+            frame = frame.f_back
+        calls[name, caller] += 1
+        return fn(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("torikit."):
+            for name in ("echelon", "smith_normal_form"):
+                fn = vars(module).get(name)
+                if fn is not None:
+                    monkeypatch.setattr(module, name, partial(counting, name, fn))
+    report = ordinary_cohomology(fan, 10)
+    assert report.ranks() == [1, 1, 1, 1, 0, 0]
     assert calls[("smith_normal_form", "require_smooth")] > 0
     assert {caller for _, caller in calls} == {"require_smooth"}, calls

@@ -1,7 +1,9 @@
 """Rules on the package source, checked by parsing it.
 
-* Exact elimination over Q has one kernel, ``lattice.echelon``, and it is
-  fraction-free: no module imports ``fractions``.
+* Exact elimination is fraction-free: the dense kernel ``lattice.echelon``
+  and the sparse one behind ``lattice.elementary_divisors`` and
+  ``lattice.dependent_rows`` work on integers, and no module imports
+  ``fractions``.
 * Preconditions and internal checks raise ``ToricError``; ``assert`` is
   stripped under ``python -O``, so the package has none.
 * No dead helpers: every private (``_name``) module-level function and
