@@ -1,5 +1,12 @@
 """Command-line interface: torikit <subcommand> <fanfile> [options].
 
+``main`` is the one path of every subcommand: it reads and parses the
+file, prints the parser's warnings on stderr, requires a valid fan
+(``validate`` reports the verdict instead), runs the subcommand and prints
+its result.  A subcommand maps the fan and the parsed arguments to
+``(payload, lines, exit_code)``: the JSON payload, the text lines, and the
+exit code.
+
 Exit codes: 0 success, 1 validation or mathematical-precondition failure,
 2 input/parse error.  Output is deterministic; --format json emits the
 schema documented in the README.
@@ -11,57 +18,28 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 
 from . import rings, stratification
 from .picard import picard as compute_picard
 from .errors import ParseError, ToricError
 from .fan import (
     Fan,
-    incompleteness_reasons,
     is_complete,
     is_smooth_fan,
     orbit_table,
     parse_fan,
-    simplicial_complex,
-    validate_fan,
+    require_valid,
 )
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 1
 EXIT_INPUT = 2
 
-
-@dataclass
-class RunConfig:
-    path: str
-    max_degree: int = 20
-    fmt: str = "text"
-    verbose: bool = False
-    cone: int | None = None
-    ordinary: bool = False
+Result = tuple[dict, list[str], int]
 
 
-def _load_fan(config: RunConfig) -> Fan:
-    with open(config.path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    fan = parse_fan(text)
-    for w in fan.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    return fan
-
-
-def _emit(config: RunConfig, payload: dict, text_lines: list[str]) -> None:
-    if config.fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def cmd_validate(config: RunConfig) -> int:
-    fan = _load_fan(config)
-    report = validate_fan(fan)
+def cmd_validate(fan: Fan, args: argparse.Namespace) -> Result:
+    report = fan.validation
     smooth = is_smooth_fan(fan) if report.valid else None
     complete = is_complete(fan) if report.valid else None
     payload = {
@@ -80,20 +58,10 @@ def cmd_validate(config: RunConfig) -> int:
         lines = [", ".join(flags)]
     else:
         lines = ["invalid:"] + [f"  [{k}] {m}" for k, m in report.violations]
-    _emit(config, payload, lines)
-    return EXIT_OK if report.valid else EXIT_PRECONDITION
+    return payload, lines, EXIT_OK if report.valid else EXIT_PRECONDITION
 
 
-def _require_valid(fan: Fan) -> None:
-    report = validate_fan(fan)
-    if not report.valid:
-        msgs = "; ".join(m for _, m in report.violations)
-        raise ToricError(f"fan is not valid: {msgs}")
-
-
-def cmd_orbits(config: RunConfig) -> int:
-    fan = _load_fan(config)
-    _require_valid(fan)
+def cmd_orbits(fan: Fan, args: argparse.Namespace) -> Result:
     table = orbit_table(fan)
     entries = []
     lines = [f"{len(table)} orbits"]
@@ -119,21 +87,17 @@ def cmd_orbits(config: RunConfig) -> int:
             f"stabilizer character rank {e.stabilizer.rank}{tors}, "
             f"in divisors {list(e.divisors)}"
         )
-    _emit(config, {"command": "orbits", "orbits": entries}, lines)
-    return EXIT_OK
+    return {"command": "orbits", "orbits": entries}, lines, EXIT_OK
 
 
-def cmd_betti(config: RunConfig) -> int:
-    fan = _load_fan(config)
-    _require_valid(fan)
-    if config.ordinary:
+def cmd_betti(fan: Fan, args: argparse.Namespace) -> Result:
+    if args.ordinary:
         poly = stratification.ordinary_poincare_polynomial(fan)
         coeffs = poly + [0] * (2 * fan.n + 1 - len(poly))
         payload = {"command": "betti", "kind": "ordinary", "coefficients": coeffs}
-        lines = [", ".join(str(c) for c in coeffs)]
     else:
         series = stratification.equivariant_poincare_series(fan)
-        coeffs = series.coefficients(config.max_degree)
+        coeffs = series.coefficients(args.max_degree)
         payload = {
             "command": "betti",
             "kind": "equivariant",
@@ -141,16 +105,12 @@ def cmd_betti(config: RunConfig) -> int:
             "denominator_exponent": series.denominator_exponent,
             "coefficients": coeffs,
         }
-        lines = [", ".join(str(c) for c in coeffs)]
-    _emit(config, payload, lines)
-    return EXIT_OK
+    return payload, [", ".join(str(c) for c in coeffs)], EXIT_OK
 
 
-def cmd_ring(config: RunConfig) -> int:
-    fan = _load_fan(config)
-    _require_valid(fan)
+def cmd_ring(fan: Fan, args: argparse.Namespace) -> Result:
     pres = rings.sr_presentation(fan)
-    report = rings.ordinary_cohomology(fan, config.max_degree)
+    report = rings.ordinary_cohomology(fan, args.max_degree)
     payload = {
         "command": "ring",
         "generators": pres.num_generators,
@@ -177,13 +137,10 @@ def cmd_ring(config: RunConfig) -> int:
     for p in report.pieces:
         tors = f", torsion {list(p.torsion)}" if p.torsion else ""
         lines.append(f"  H^{p.degree}: rank {p.rank}{tors}")
-    _emit(config, payload, lines)
-    return EXIT_OK
+    return payload, lines, EXIT_OK
 
 
-def cmd_picard(config: RunConfig) -> int:
-    fan = _load_fan(config)
-    _require_valid(fan)
+def cmd_picard(fan: Fan, args: argparse.Namespace) -> Result:
     rep = compute_picard(fan)
     payload = {
         "command": "picard",
@@ -210,20 +167,17 @@ def cmd_picard(config: RunConfig) -> int:
         f"Pic rank {rep.ordinary_rank}, torsion {tors}; "
         f"Pic_T rank {rep.equivariant_rank}"
     ]
-    _emit(config, payload, lines)
-    return EXIT_OK
+    return payload, lines, EXIT_OK
 
 
-def cmd_hilbert(config: RunConfig) -> int:
-    fan = _load_fan(config)
-    _require_valid(fan)
+def cmd_hilbert(fan: Fan, args: argparse.Namespace) -> Result:
     cones = fan.cones
-    if config.cone is not None:
-        if config.cone < 0 or config.cone >= len(cones):
+    if args.cone is not None:
+        if args.cone < 0 or args.cone >= len(cones):
             raise ToricError(
-                f"--cone {config.cone} out of range (fan has {len(cones)} cones)"
+                f"--cone {args.cone} out of range (fan has {len(cones)} cones)"
             )
-        cones = (cones[config.cone],)
+        cones = (cones[args.cone],)
     entries = []
     lines = []
     for c in cones:
@@ -232,16 +186,13 @@ def cmd_hilbert(config: RunConfig) -> int:
             {"cone": list(c), "hilbert_basis": [list(h) for h in basis]}
         )
         lines.append(f"cone {list(c)}: {[list(h) for h in basis]}")
-    _emit(config, {"command": "hilbert", "cones": entries}, lines)
-    return EXIT_OK
+    return {"command": "hilbert", "cones": entries}, lines, EXIT_OK
 
 
-def cmd_certify(config: RunConfig) -> int:
-    fan = _load_fan(config)
-    _require_valid(fan)
+def cmd_certify(fan: Fan, args: argparse.Namespace) -> Result:
     strat = stratification.stratify(fan)
     perfection = stratification.certify_perfection(strat)
-    injectivity = rings.check_restriction_injectivity(fan, config.max_degree)
+    injectivity = rings.check_restriction_injectivity(fan, args.max_degree)
     payload = {
         "command": "certify",
         "perfection": {
@@ -267,11 +218,10 @@ def cmd_certify(config: RunConfig) -> int:
         "perfection: " + ("certified" if perfection.certified else "FAILED"),
         "restriction injectivity: "
         + ("holds" if injectivity.all_injective else "FAILED")
-        + f" in all degrees <= {config.max_degree}",
+        + f" in all degrees <= {args.max_degree}",
     ]
-    _emit(config, payload, lines)
     ok = perfection.certified and injectivity.all_injective
-    return EXIT_OK if ok else EXIT_PRECONDITION
+    return payload, lines, EXIT_OK if ok else EXIT_PRECONDITION
 
 
 COMMANDS = {
@@ -320,16 +270,20 @@ def main(argv: list[str] | None = None) -> int:
     if args.max_degree < 0 or args.max_degree % 2 != 0:
         print("error: --max-degree must be even and >= 0", file=sys.stderr)
         return EXIT_INPUT
-    config = RunConfig(
-        path=args.fanfile,
-        max_degree=args.max_degree,
-        fmt=args.format,
-        verbose=args.verbose,
-        cone=getattr(args, "cone", None),
-        ordinary=getattr(args, "ordinary", False),
-    )
     try:
-        return COMMANDS[args.command](config)
+        with open(args.fanfile, "r", encoding="utf-8") as fh:
+            fan = parse_fan(fh.read())
+        for w in fan.warnings:
+            print(f"warning: {w}", file=sys.stderr)
+        if args.command != "validate":
+            require_valid(fan)
+        payload, lines, code = COMMANDS[args.command](fan, args)
+        if args.format == "json":
+            print(json.dumps(payload, sort_keys=True, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        return code
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

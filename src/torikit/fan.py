@@ -4,6 +4,12 @@ A fan is a face-closed collection of pointed rational cones whose pairwise
 intersections are common faces.  Cones are stored as sorted tuples of
 indices into the ray table; the input format lists only maximal cones and
 all faces are generated.
+
+Every invariant needs a valid fan, and most need a smooth, or a smooth
+complete, one.  ``require_valid``, ``require_smooth`` and
+``require_complete`` enforce that policy for the whole package; the
+verdict of ``validate_fan`` is computed once per fan and kept as
+``Fan.validation``.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .cone import Cone, double_description
-from .errors import ParseError
+from .errors import CompletenessError, ParseError, SmoothnessError, ToricError
 from .lattice import (
     QuotientLatticePresentation,
     Vector,
@@ -103,6 +109,11 @@ class Fan:
             ):
                 out.append(c)
         return tuple(sorted(out))
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """The verdict of ``validate_fan`` on this fan, computed once."""
+        return validate_fan(self)
 
     @cached_property
     def first_singular_cone(self) -> Optional[RaySet]:
@@ -238,6 +249,24 @@ def _check_pair(fan: Fan, c1: RaySet, c2: RaySet) -> list[RaySet]:
     ]
 
 
+def require_valid(fan: Fan) -> None:
+    """Raise ``ToricError`` naming every violation unless the fan is valid."""
+    report = fan.validation
+    if not report.valid:
+        msgs = "; ".join(m for _, m in report.violations)
+        raise ToricError(f"fan is not valid: {msgs}")
+
+
+def require_smooth(fan: Fan) -> None:
+    """Raise unless the fan is valid and every cone is smooth."""
+    require_valid(fan)
+    c = fan.first_singular_cone
+    if c is not None:
+        raise SmoothnessError(
+            f"fan not smooth: rays of cone {c} are not part of a Z-basis"
+        )
+
+
 def is_smooth_fan(fan: Fan) -> bool:
     return fan.first_singular_cone is None
 
@@ -275,6 +304,14 @@ def is_complete(fan: Fan) -> bool:
     return not incompleteness_reasons(fan)
 
 
+def require_complete(fan: Fan) -> None:
+    """Raise unless the fan is valid and its support is all of R^n."""
+    require_valid(fan)
+    reasons = incompleteness_reasons(fan)
+    if reasons:
+        raise CompletenessError("fan not complete: " + "; ".join(reasons))
+
+
 @dataclass(frozen=True)
 class OrbitEntry:
     rayset: RaySet
@@ -294,6 +331,7 @@ class OrbitTable:
 def orbit_table(fan: Fan) -> OrbitTable:
     """One orbit per cone; codimension = cone dimension; stabilizers via
     X(T_sigma) = X(T)/(sigma^perp intersect X(T))."""
+    require_valid(fan)
     entries = []
     for c in fan.cones:
         entries.append(
@@ -320,13 +358,7 @@ class SimplicialComplex:
 def simplicial_complex(fan: Fan) -> SimplicialComplex:
     """Vertices are the rays; a subset is a simplex iff it is the ray set
     of some cone.  Minimal non-faces are found by growing simplices."""
-    simps = set()
-    for c in fan.cones:
-        cone = fan.cone(c)
-        gamma = frozenset(
-            v for v in range(len(fan.rays)) if cone.contains(fan.rays[v])
-        )
-        simps.add(gamma)
+    simps = fan.simplices
     k = len(fan.rays)
     nonfaces = []
     for v in range(k):
@@ -346,7 +378,7 @@ def simplicial_complex(fan: Fan) -> SimplicialComplex:
                 nonfaces.append(tuple(sorted(t)))
     return SimplicialComplex(
         num_vertices=k,
-        simplices=frozenset(simps),
+        simplices=simps,
         minimal_nonfaces=tuple(sorted(nonfaces)),
     )
 

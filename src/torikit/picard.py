@@ -20,9 +20,9 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .errors import IncompatibleFamilyError
-from .fan import Fan, RaySet
+from .fan import Fan, RaySet, require_smooth
 from .lattice import Vector, pairing, quotient_by_sublattice, solve_integer
-from .stratification import dual_basis_character, require_smooth
+from .stratification import dual_basis_character
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,15 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
-from .errors import CompletenessError
-from .fan import Fan, RaySet, incompleteness_reasons, simplicial_complex
+from .fan import (
+    Fan,
+    RaySet,
+    require_complete,
+    require_smooth,
+    simplicial_complex,
+)
 from .lattice import Vector, dependent_rows, elementary_divisors, pairing
-from .stratification import dual_basis_character, require_smooth
+from .stratification import dual_basis_character
 
 Exponents = tuple[int, ...]
 MVPoly = dict[Exponents, int]
@@ -231,9 +236,7 @@ def ordinary_cohomology(fan: Fan, max_degree: int) -> GradedGroupReport:
     basis from ``lattice.dependent_rows``.
     """
     require_smooth(fan)
-    reasons = incompleteness_reasons(fan)
-    if reasons:
-        raise CompletenessError("fan not complete: " + "; ".join(reasons))
+    require_complete(fan)
     pieces = []
     lower: dict[Exponents, int] = {}
     for degree in range(0, max_degree + 1, 2):

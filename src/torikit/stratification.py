@@ -5,6 +5,8 @@ whose partial unions are open; each stratum's normal weights are the dual
 basis characters of its cone's rays taken modulo sigma^perp.  All weights
 are nonzero, the Euler classes are non-zero-divisors, and the equivariant
 Poincare series is the sum of the shifted series of the strata.
+
+Smoothness and completeness are required through the gates of ``fan``.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .errors import CompletenessError, SmoothnessError, ToricError
-from .fan import Fan, RaySet, incompleteness_reasons
+from .errors import SmoothnessError, ToricError
+from .fan import Fan, RaySet, require_complete, require_smooth
 from .lattice import Vector, pairing, solve_integer
 
 
@@ -72,14 +74,6 @@ class PoincareSeries:
 
     def coefficients(self, max_degree: int) -> list[int]:
         return [self.coefficient(i) for i in range(max_degree + 1)]
-
-
-def require_smooth(fan: Fan) -> None:
-    c = fan.first_singular_cone
-    if c is not None:
-        raise SmoothnessError(
-            f"fan not smooth: rays of cone {c} are not part of a Z-basis"
-        )
 
 
 def dual_basis_character(fan: Fan, rayset: RaySet, v: int) -> Vector:
@@ -168,9 +162,7 @@ def equivariant_poincare_series(fan: Fan) -> PoincareSeries:
 def ordinary_poincare_polynomial(fan: Fan) -> list[int]:
     """Equivariant series times (1-t^2)^n; needs a smooth complete fan."""
     require_smooth(fan)
-    reasons = incompleteness_reasons(fan)
-    if reasons:
-        raise CompletenessError("fan not complete: " + "; ".join(reasons))
+    require_complete(fan)
     poly = list(equivariant_poincare_series(fan).numerator)
     if any(x < 0 for x in poly) or any(poly[1::2]):
         raise ToricError(

@@ -21,6 +21,9 @@ _spec.loader.exec_module(fans)
 SMOOTH_GOLDEN = ["affine_plane", "p1", "p2", "p1xp1", "hirzebruch1"]
 COMPLETE_GOLDEN = ["p1", "p2", "p1xp1", "hirzebruch1"]
 
+# P^2 with a fourth ray (1, 1) in no cone, though it lies inside cone {0, 1}.
+P2_UNUSED_RAY = "rank 2\nrays 4\n1 0\n0 1\n-1 -1\n1 1\nmaxcones 3\n0 1\n1 2\n0 2\n"
+
 
 def load_fan(name):
     return parse_fan((FAN_DIR / f"{name}.fan").read_text())

@@ -6,7 +6,10 @@ import time
 
 import pytest
 
-from torikit.cli import main
+import torikit.fan
+from torikit.cli import COMMANDS, main
+
+from conftest import P2_UNUSED_RAY
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -180,3 +183,29 @@ def test_ring_to_a_high_degree_is_quick(capsys):
     for p in pieces[3:]:
         assert (p["rank"], p["torsion"], p["basis"]) == (0, [], []), p["degree"]
     assert elapsed < 5, elapsed
+
+
+def test_ring_relations_on_an_unused_ray(tmp_path, capsys):
+    f = tmp_path / "p2_unused_ray.fan"
+    f.write_text(P2_UNUSED_RAY)
+    assert main(["ring", str(f), "--max-degree", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "Z[x_0..x_3] modulo x_0*x_1*x_2, x_3"
+    assert lines[1:] == ["  H^0: rank 1", "  H^2: rank 1", "  H^4: rank 1"]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_one_cli_call_validates_the_fan_once(command, monkeypatch, capsys):
+    # the verdict is kept on the fan: the gate of main and those of the
+    # library entry points share it
+    calls = []
+    validate = torikit.fan.validate_fan
+
+    def counting(fan):
+        calls.append(fan)
+        return validate(fan)
+
+    monkeypatch.setattr(torikit.fan, "validate_fan", counting)
+    assert main([command, str(ROOT / "fans" / "p2.fan"), "--max-degree", "4"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1

@@ -13,7 +13,7 @@ from torikit import (
 )
 from torikit.lattice import pairing
 
-from conftest import COMPLETE_GOLDEN, SMOOTH_GOLDEN, load_fan
+from conftest import COMPLETE_GOLDEN, P2_UNUSED_RAY, SMOOTH_GOLDEN, load_fan
 
 
 def test_parse_p2(p2):
@@ -192,11 +192,20 @@ def test_simplicial_complex_p1xp1(p1xp1):
 
 
 def test_simplices_biject_with_cones():
-    for name in SMOOTH_GOLDEN:
-        fan = load_fan(name)
+    goldens = [load_fan(name) for name in SMOOTH_GOLDEN + ["a1_singular"]]
+    for fan in goldens + [parse_fan(P2_UNUSED_RAY)]:
         sc = simplicial_complex(fan)
         cone_sets = {frozenset(c) for c in fan.cones}
-        assert sc.simplices == cone_sets
+        assert sc.simplices == fan.simplices == cone_sets
+
+
+def test_simplicial_complex_unused_ray_is_a_nonface():
+    # the ray (1, 1) lies in cone {0, 1} but spans no cone, so {0, 1} stays
+    # a simplex and {3} is a minimal non-face
+    sc = simplicial_complex(parse_fan(P2_UNUSED_RAY))
+    assert sc.is_simplex((0, 1))
+    assert not sc.is_simplex((3,))
+    assert sc.minimal_nonfaces == ((0, 1, 2), (3,))
 
 
 def test_from_maximal_cones_closure():

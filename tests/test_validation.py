@@ -4,7 +4,8 @@
 restricted axiom (b) to pairs of maximal cones: every pair of cones, faces
 included, each face built afresh.  It is kept here as the reference.  The
 fans come from the benchmark's generator, relabelled, and from two
-perturbations that break them.
+perturbations that break them.  Every library entry point that needs a
+valid fan is checked to refuse an invalid one.
 """
 
 import math
@@ -16,7 +17,21 @@ from hypothesis import strategies as st
 
 import torikit.cone
 import torikit.fan
-from torikit import Fan, parse_fan, validate_fan
+from torikit import (
+    Fan,
+    ToricError,
+    check_restriction_injectivity,
+    divisor_class,
+    equivariant_poincare_series,
+    orbit_table,
+    ordinary_cohomology,
+    ordinary_poincare_polynomial,
+    parse_fan,
+    picard,
+    sr_presentation,
+    stratify,
+    validate_fan,
+)
 from torikit.cone import Cone, double_description
 from torikit.fan import ValidationReport
 
@@ -231,3 +246,28 @@ def test_parse_and_validate_make_one_double_description_per_cone_and_pair(
     assert validate_fan(fan).valid
     pairs = len(fan.maximal_cones) * (len(fan.maximal_cones) - 1) // 2
     assert len(calls) == len(fan.cones) + pairs == count
+
+
+GATED = {
+    "sr_presentation": sr_presentation,
+    "ordinary_cohomology": lambda fan: ordinary_cohomology(fan, 4),
+    "check_restriction_injectivity": lambda fan: check_restriction_injectivity(fan, 4),
+    "stratify": stratify,
+    "equivariant_poincare_series": equivariant_poincare_series,
+    "ordinary_poincare_polynomial": ordinary_poincare_polynomial,
+    "picard": picard,
+    "divisor_class": lambda fan: divisor_class(fan, [0] * len(fan.rays)),
+    "orbit_table": orbit_table,
+}
+
+
+@pytest.mark.parametrize("entry", GATED)
+def test_library_entry_points_refuse_an_invalid_fan(entry):
+    # cone (2, 3) of the overlap fan is also singular: validity is checked
+    # first, so the message names the overlap, not the singular cone
+    fan = load_fan("overlap_invalid")
+    with pytest.raises(ToricError) as info:
+        GATED[entry](fan)
+    message = str(info.value)
+    assert message.startswith("fan is not valid: ")
+    assert "intersection of cones (0, 1) and (2, 3)" in message
