@@ -181,7 +181,10 @@ def cmd_hilbert(fan: Fan, args: argparse.Namespace) -> Result:
     entries = []
     lines = []
     for c in cones:
-        basis = fan.cone(c).hilbert_basis()
+        try:
+            basis = fan.cone(c).hilbert_basis()
+        except ToricError as exc:
+            raise ToricError(f"Hilbert basis of cone {c}: {exc}") from exc
         entries.append(
             {"cone": list(c), "hilbert_basis": [list(h) for h in basis]}
         )

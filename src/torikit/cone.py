@@ -1,8 +1,10 @@
 """Rational polyhedral cones in Y(T)_R, with exact integer arithmetic.
 
-A cone is stored by its primitive generators.  Duality is computed by the
-double description method with incremental inequality insertion; Hilbert
-bases of dual monoids by triangulating the dual cone and enumerating the
+A cone is stored by its primitive generators.  One Smith normal form
+U G V = D of the generator rows G, the cone's chart, gives sigma^perp,
+smoothness and the dual basis.  Duality is computed by the double
+description method with incremental inequality insertion; Hilbert bases
+of dual monoids by triangulating the dual cone and enumerating the
 half-open fundamental parallelepiped of each simplicial piece.
 """
 
@@ -11,15 +13,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from math import prod
+from typing import Optional, Sequence
 
 from .errors import PointednessError, ToricError
 from .lattice import (
+    Matrix,
+    QuotientLatticePresentation,
     Vector,
     diagonal_of,
-    echelon,
-    invert_unimodular,
-    kernel_basis,
+    identity_matrix,
     mat_vec,
     pairing,
     primitive,
@@ -27,6 +30,11 @@ from .lattice import (
     rank,
     smith_normal_form,
 )
+
+# ``hilbert_basis`` refuses a parallelepiped with more lattice points (it
+# has |det| of them); those of the goldens and the benchmark have at most
+# a few hundred.
+MAX_PARALLELEPIPED_POINTS = 100_000
 
 
 def double_description(
@@ -143,12 +151,20 @@ class Cone:
         return rank([list(g) for g in self.generators])
 
     @cached_property
+    def _chart(self) -> tuple[Matrix, Matrix, Matrix]:
+        """The Smith normal form ``(U, D, V)``, ``U G V = D``, of the
+        generator rows G; V = I for the zero cone."""
+        if not self.generators:
+            return [], [], identity_matrix(self.n)
+        return smith_normal_form([list(g) for g in self.generators])
+
+    @cached_property
     def _dual(self) -> DualConeDescription:
+        # sigma^perp = ker G is spanned by the columns of V past the rank.
         rays, _ = double_description(self.generators, self.n)
-        if self.generators:
-            lin = kernel_basis([list(g) for g in self.generators])
-        else:
-            lin = [tuple(int(i == j) for i in range(self.n)) for j in range(self.n)]
+        _, d, v = self._chart
+        r = sum(1 for x in diagonal_of(d) if x)
+        lin = [tuple(row[j] for row in v) for j in range(r, self.n)]
         return DualConeDescription(tuple(rays), tuple(lin))
 
     def dual_cone(self) -> DualConeDescription:
@@ -181,16 +197,26 @@ class Cone:
         )
 
     def is_smooth(self) -> bool:
-        """True iff the primitive rays extend to a Z-basis of Y(T)."""
-        rays = self.extreme_rays
-        if not rays:
-            return True
-        if len(rays) != self.dim:
-            return False
-        _, d, _ = smith_normal_form([list(r) for r in rays])
-        return all(x == 1 for x in diagonal_of(d) if x != 0) and (
-            sum(1 for x in diagonal_of(d) if x != 0) == len(rays)
-        )
+        """True iff the generators are part of a Z-basis of Y(T) (Cox, Little
+        and Schenck, *Toric Varieties*, Def. 1.2.16): the chart's D is [I | 0]."""
+        _, d, _ = self._chart
+        return len(self.generators) <= self.n and all(x == 1 for x in diagonal_of(d))
+
+    @cached_property
+    def dual_basis(self) -> Optional[tuple[Vector, ...]]:
+        """Characters chi_i with <chi_i, g_j> = delta_ij on the k generators
+        g_j, or None when the cone is not smooth.  They are the columns of
+        V[:, :k] U, as G V[:, :k] U = U^-1 D V^-1 V[:, :k] U = I."""
+        if not self.is_smooth():
+            return None
+        u, _, v = self._chart
+        k = range(len(self.generators))
+        return tuple(tuple(sum(row[s] * u[s][i] for s in k) for row in v) for i in k)
+
+    @cached_property
+    def stabilizer_characters(self) -> QuotientLatticePresentation:
+        """X(T_sigma) = X(T) / (sigma^perp intersect X(T))."""
+        return quotient_by_sublattice(self.n, self._dual.lineality)
 
     @cached_property
     def face_generator_sets(self) -> list[frozenset[int]]:
@@ -323,38 +349,32 @@ def _parallelepiped_points(cols: list[Vector]) -> list[Vector]:
 
     ``cols`` are linearly independent and there are exactly dim-many of
     them, so the box is a genuine parallelepiped with |det| lattice points,
-    one per class of Z^d / G Z^d; the Smith normal form of the generator
-    matrix G lists those classes.
+    one per class of Z^d / G Z^d.  With U G V = D and e = d_last, the class
+    z of sum Z/d_i is U w for a coset representative w, and
+    G^-1 w = V D^-1 z; so t = (V (z_i e / d_i)) mod e is e times the
+    fractional part of G^-1 w, and the point is G t / e.  Raises
+    ``ToricError`` when there are more than ``MAX_PARALLELEPIPED_POINTS``.
     """
     d = len(cols[0])
     g = [[cols[j][i] for j in range(len(cols))] for i in range(d)]
     if len(cols) != d:
         raise ValueError("parallelepiped needs a square generator matrix")
-    u, dd, _ = smith_normal_form(g)
+    _, dd, v = smith_normal_form(g)
     diag = diagonal_of(dd)
     if 0 in diag:
         raise ValueError("degenerate parallelepiped")
-    if all(x == 1 for x in diag):
-        return []
-    uinv = invert_unimodular(u)
-    # [G | I] reduces to [det * I | det * G^-1].  For a coset representative
-    # w, t = (det * G^-1 w) mod det is det times the fractional part of
-    # G^-1 w (Python's % and // take the sign of det, so either sign works),
-    # and the point is G times that fractional part.
-    a, _, det, _ = echelon(
-        [row + [int(i == j) for j in range(d)] for i, row in enumerate(g)]
-    )
-    adj = [row[d:] for row in a]
+    count = prod(diag)
+    if count > MAX_PARALLELEPIPED_POINTS:
+        raise ToricError(
+            f"the dual cone has a fundamental parallelepiped with {count} lattice "
+            f"points, more than the {MAX_PARALLELEPIPED_POINTS} torikit enumerates"
+        )
+    e = diag[-1]
+    scale = [e // x for x in diag]
     pts = []
     for z in itertools.product(*[range(x) for x in diag]):
-        w = mat_vec(uinv, z)
-        t = [x % det for x in mat_vec(adj, w)]
+        t = [x % e for x in mat_vec(v, [zi * s for zi, s in zip(z, scale)])]
         if not any(t):
             continue
-        pts.append(
-            tuple(
-                sum(t[j] * cols[j][i] for j in range(d)) // det
-                for i in range(d)
-            )
-        )
+        pts.append(tuple(sum(t[j] * row[j] for j in range(d)) // e for row in g))
     return pts

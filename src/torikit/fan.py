@@ -9,7 +9,8 @@ Every invariant needs a valid fan, and most need a smooth, or a smooth
 complete, one.  ``require_valid``, ``require_smooth`` and
 ``require_complete`` enforce that policy for the whole package; the
 verdict of ``validate_fan`` is computed once per fan and kept as
-``Fan.validation``.
+``Fan.validation``.  The lattice data of a cone (sigma^perp, smoothness,
+the dual basis, X(T_sigma)) are kept on its ``Cone``.
 """
 
 from __future__ import annotations
@@ -21,14 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 from .cone import Cone, double_description
 from .errors import CompletenessError, ParseError, SmoothnessError, ToricError
-from .lattice import (
-    QuotientLatticePresentation,
-    Vector,
-    kernel_basis,
-    pairing,
-    primitive,
-    quotient_by_sublattice,
-)
+from .lattice import QuotientLatticePresentation, Vector, pairing, primitive
 
 RaySet = tuple[int, ...]
 
@@ -63,11 +57,6 @@ class Fan:
             sorted(seen, key=lambda c: (self._cone_objs[c].dim, c))
         )
         self.warnings = warnings or []
-        # Dual basis characters by (cone, ray); filled by
-        # stratification.dual_basis_character.
-        self.dual_basis_cache: dict[tuple[RaySet, int], Vector] = {}
-        # X(T_sigma) by cone; filled by stabilizer_characters.
-        self.stabilizer_cache: dict[RaySet, QuotientLatticePresentation] = {}
 
     @classmethod
     def from_maximal_cones(
@@ -128,19 +117,9 @@ class Fan:
         return frozenset(frozenset(c) for c in self.cones)
 
     def stabilizer_characters(self, rayset: Iterable[int]) -> QuotientLatticePresentation:
-        """X(T_sigma) = X(T) / (sigma^perp intersect X(T)), cached per cone."""
-        key = tuple(sorted(rayset))
-        if key not in self.stabilizer_cache:
-            gens = [list(self.rays[i]) for i in key]
-            if gens:
-                perp = kernel_basis(gens)
-            else:
-                perp = [
-                    tuple(int(i == j) for i in range(self.n))
-                    for j in range(self.n)
-                ]
-            self.stabilizer_cache[key] = quotient_by_sublattice(self.n, perp)
-        return self.stabilizer_cache[key]
+        """X(T_sigma) = X(T) / (sigma^perp intersect X(T)), kept on the
+        cone; raises ``KeyError`` for a ray set that is not a cone."""
+        return self.cone(rayset).stabilizer_characters
 
 
 @dataclass

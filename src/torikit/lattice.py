@@ -7,9 +7,9 @@ pairing.  Everything here is a pure function of immutable data.
 
 Dense elimination over Q has one kernel, ``echelon``: fraction-free
 (Bareiss) Gauss-Jordan elimination on integers.  ``rank``, ``determinant``
-and ``invert_unimodular`` are read off it, and so is the parallelepiped
-inverse in ``cone``.  Smith normal form is separate: it uses unimodular
-row and column operations over Z.
+and ``invert_unimodular`` are read off it.  Smith normal form is separate:
+it uses unimodular row and column operations over Z, and each ``Cone``
+reads sigma^perp, smoothness and its dual basis off one.
 
 Large sparse matrices, such as the relations of the graded pieces in
 ``rings``, have a sparse kernel with two jobs on rows kept as dicts:

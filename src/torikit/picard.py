@@ -136,7 +136,7 @@ def divisor_class(fan: Fan, coeffs: Sequence[int]) -> CharacterFamily:
         )
     chars = []
     for c in fan.maximal_cones:
-        duals = [dual_basis_character(fan, c, v) for v in c]
+        duals = fan.cone(c).dual_basis
         chars.append(
             tuple(
                 -sum(coeffs[v] * chi[t] for v, chi in zip(c, duals))

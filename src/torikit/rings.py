@@ -274,7 +274,6 @@ def restriction_map(
     X(T_sigma) (exponent-vector keyed, integer coefficients).
     """
     key = tuple(sorted(rayset))
-    fan.cone(key)  # raises KeyError for a ray set that is not a cone
     pres = fan.stabilizer_characters(key)
     d = pres.rank
     out: MVPoly = {}

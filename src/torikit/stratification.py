@@ -16,7 +16,7 @@ from math import comb
 
 from .errors import SmoothnessError, ToricError
 from .fan import Fan, RaySet, require_complete, require_smooth
-from .lattice import Vector, pairing, solve_integer
+from .lattice import Vector, pairing
 
 
 def poly_add(a: list[int], b: list[int]) -> list[int]:
@@ -79,20 +79,14 @@ class PoincareSeries:
 def dual_basis_character(fan: Fan, rayset: RaySet, v: int) -> Vector:
     """chi with <chi, mu_w> = delta_vw over the rays w of the cone.
 
-    Solvable over Z exactly because the cone is smooth; cached per fan.
+    Read off the cone's ``dual_basis``, which exists exactly when the cone
+    is smooth; raises ``SmoothnessError`` on a singular cone.
     """
-    cache = fan.dual_basis_cache
-    key = (tuple(sorted(rayset)), v)
-    if key not in cache:
-        rows = [list(fan.rays[w]) for w in key[0]]
-        rhs = [int(w == v) for w in key[0]]
-        chi = solve_integer(rows, rhs)
-        if chi is None:
-            raise SmoothnessError(
-                f"no integral dual basis for ray {v} in cone {key[0]}"
-            )
-        cache[key] = chi
-    return cache[key]
+    key = tuple(sorted(rayset))
+    basis = fan.cone(key).dual_basis
+    if basis is None:
+        raise SmoothnessError(f"no integral dual basis for ray {v} in cone {key}")
+    return basis[key.index(v)]
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,15 @@ import pathlib
 import subprocess
 import sys
 import time
+from collections import Counter
+from functools import partial
 
 import pytest
 
 import torikit.fan
 from torikit.cli import COMMANDS, main
 
-from conftest import P2_UNUSED_RAY
+from conftest import P2_UNUSED_RAY, fans
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -209,3 +211,87 @@ def test_one_cli_call_validates_the_fan_once(command, monkeypatch, capsys):
     assert main([command, str(ROOT / "fans" / "p2.fan"), "--max-degree", "4"]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+# P^2 with the cone {(1, 0), (0, 1)} listed on three rays: (1, 1) lies in
+# its interior, so its rays are not part of a Z-basis although its extreme
+# rays are.
+P2_INTERIOR_RAY = "rank 2\nrays 4\n1 0\n1 1\n0 1\n-1 -1\nmaxcones 3\n0 1 2\n2 3\n0 3\n"
+
+
+def test_a_cone_listing_an_interior_ray_is_not_smooth(tmp_path, capsys):
+    f = tmp_path / "p2_interior_ray.fan"
+    f.write_text(P2_INTERIOR_RAY)
+    assert main(["validate", str(f)]) == 0
+    assert capsys.readouterr().out == "valid, not smooth, complete\n"
+    for args in (
+        ["ring", "--max-degree", "4"],
+        ["ring", "--max-degree", "8"],
+        ["betti"],
+        ["certify"],
+        ["picard"],
+    ):
+        assert main([args[0], str(f)] + args[1:]) == 1, args
+        out, err = capsys.readouterr()
+        assert out == "", args
+        assert err.startswith("error: ") and "cone (0, 1, 2)" in err, (args, err)
+        assert "Traceback" not in err, args
+
+
+@pytest.mark.parametrize(
+    "ray", ["100000000000000000000000000007 1", "10000001 1"], ids=["30-digit", "det-1e7"]
+)
+def test_hilbert_refuses_a_huge_parallelepiped(ray, tmp_path):
+    f = tmp_path / "huge.fan"
+    f.write_text(f"rank 2\nrays 2\n{ray}\n0 1\nmaxcones 1\n0 1\n")
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "torikit.cli", "hilbert", str(f)],
+        capture_output=True, text=True, cwd=ROOT, timeout=30,
+    )
+    elapsed = time.perf_counter() - start
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: Hilbert basis of cone (0, 1): ")
+    assert "Traceback" not in result.stderr
+    assert elapsed < 5, elapsed
+
+
+ONE_CHART_CASES = {
+    "certify": (fans.projective_space(3), ["--max-degree", "10"]),
+    "orbits": (fans.blow_up_points(fans.projective_space(3), 2), []),
+    "picard": (fans.iterated_blowup_p2(22), []),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ONE_CHART_CASES))
+def test_each_cone_makes_one_smith_normal_form(command, tmp_path, monkeypatch, capsys):
+    """Every Smith normal form comes from a cone's chart, one per nonzero
+    cone, or from a quotient lattice presentation; nothing solves a system
+    or takes a kernel."""
+    data, options = ONE_CHART_CASES[command]
+    f = tmp_path / "fan.fan"
+    f.write_text(data.text())
+    calls = Counter()
+
+    def counting(name, fn, *args):
+        frame, caller = sys._getframe(1), "elsewhere"
+        while frame is not None:
+            if frame.f_code.co_name in ("_chart", "quotient_by_sublattice"):
+                caller = frame.f_code.co_name
+                break
+            frame = frame.f_back
+        calls[name, caller] += 1
+        return fn(*args)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "torikit" or module_name.startswith("torikit."):
+            for name in ("smith_normal_form", "solve_integer", "kernel_basis"):
+                fn = vars(module).get(name)
+                if fn is not None:
+                    monkeypatch.setattr(module, name, partial(counting, name, fn))
+    assert main([command, str(f)] + options) == 0
+    capsys.readouterr()
+    assert {name for name, _ in calls} == {"smith_normal_form"}, calls
+    assert {caller for _, caller in calls} <= {"_chart", "quotient_by_sublattice"}
+    assert calls["smith_normal_form", "_chart"] == len(data.cones()) - 1

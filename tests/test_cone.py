@@ -128,6 +128,19 @@ def test_is_smooth():
     assert not Cone([(1, 0), (1, 2)], 2).is_smooth()
     assert not Cone([(0, 1), (2, -1)], 2).is_smooth()
     assert Cone([(1, 1)], 2).is_smooth()
+    # the extreme rays of a quadrant, with (1, 1) listed as a third ray
+    assert not Cone([(1, 0), (1, 1), (0, 1)], 2).is_smooth()
+
+
+def test_dual_basis():
+    for gens in ([(1, 0), (1, 1)], [(2, 1, 0), (1, 1, 1)], [(1, 1)], []):
+        cone = Cone(gens, len(gens[0]) if gens else 2)
+        duals = cone.dual_basis
+        assert [[pairing(chi, g) for g in gens] for chi in duals] == [
+            [int(i == j) for j in range(len(gens))] for i in range(len(gens))
+        ]
+    assert Cone([(1, 0), (1, 2)], 2).dual_basis is None
+    assert Cone([(1, 0), (1, 1), (0, 1)], 2).dual_basis is None
 
 
 def test_hilbert_basis_a1():

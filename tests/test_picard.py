@@ -348,16 +348,16 @@ def test_picard_makes_one_elimination_for_its_coordinates(monkeypatch):
     monkeypatch.setattr(torikit.lattice, "smith_normal_form", counting_snf)
     monkeypatch.setattr(torikit.cone, "smith_normal_form", counting_snf)
     monkeypatch.setattr(picard_module, "quotient_by_sublattice", counting_quotient)
-    for module in (torikit.lattice, torikit.cone, torikit.fan):
-        monkeypatch.setattr(module, "kernel_basis", counting_kernel)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("torikit") and "kernel_basis" in vars(module):
+            monkeypatch.setattr(module, "kernel_basis", counting_kernel)
     rep = picard(fan)
     assert rep.ordinary_rank == 23
     assert kernels == []
     assert quotients == [(25, [25, 25])]
-    assert snf_callers["quotient_by_sublattice"] == 1
-    assert snf_callers["require_smooth"] > 0
-    assert "elsewhere" not in snf_callers
-    # the smoothness verdict and the dual basis characters are kept on the fan
+    # the validity verdict made each cone's chart, and the smoothness
+    # verdict and the dual basis characters are read off the charts
+    assert snf_callers == {"quotient_by_sublattice": 1}
     snf_callers.clear()
     picard(fan)
     assert snf_callers == {"quotient_by_sublattice": 1}
