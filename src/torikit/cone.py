@@ -159,13 +159,17 @@ class Cone:
         return smith_normal_form([list(g) for g in self.generators])
 
     @cached_property
-    def _dual(self) -> DualConeDescription:
-        # sigma^perp = ker G is spanned by the columns of V past the rank.
-        rays, _ = double_description(self.generators, self.n)
+    def perp(self) -> tuple[Vector, ...]:
+        """A lattice basis of sigma^perp = ker G: the columns of the chart's
+        V past the rank."""
         _, d, v = self._chart
         r = sum(1 for x in diagonal_of(d) if x)
-        lin = [tuple(row[j] for row in v) for j in range(r, self.n)]
-        return DualConeDescription(tuple(rays), tuple(lin))
+        return tuple(tuple(row[j] for row in v) for j in range(r, self.n))
+
+    @cached_property
+    def _dual(self) -> DualConeDescription:
+        rays, _ = double_description(self.generators, self.n)
+        return DualConeDescription(tuple(rays), self.perp)
 
     def dual_cone(self) -> DualConeDescription:
         return self._dual
@@ -216,7 +220,7 @@ class Cone:
     @cached_property
     def stabilizer_characters(self) -> QuotientLatticePresentation:
         """X(T_sigma) = X(T) / (sigma^perp intersect X(T))."""
-        return quotient_by_sublattice(self.n, self._dual.lineality)
+        return quotient_by_sublattice(self.n, self.perp)
 
     @cached_property
     def face_generator_sets(self) -> list[frozenset[int]]:

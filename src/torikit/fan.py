@@ -10,7 +10,9 @@ complete, one.  ``require_valid``, ``require_smooth`` and
 ``require_complete`` enforce that policy for the whole package; the
 verdict of ``validate_fan`` is computed once per fan and kept as
 ``Fan.validation``.  The lattice data of a cone (sigma^perp, smoothness,
-the dual basis, X(T_sigma)) are kept on its ``Cone``.
+the dual basis, X(T_sigma)) are kept on its ``Cone``.  Validation and the
+smoothness verdict are decided on the cones that generate the fan, so a
+face needs no dual and no chart for them.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .cone import Cone, double_description
 from .errors import CompletenessError, ParseError, SmoothnessError, ToricError
@@ -106,10 +108,11 @@ class Fan:
 
     @cached_property
     def first_singular_cone(self) -> Optional[RaySet]:
-        """The first cone, in ``cones`` order, that is not smooth, or None."""
-        return next(
-            (c for c in self.cones if not self.cone(c).is_smooth()), None
-        )
+        """The first cone, in ``cones`` order, that is not smooth, or None.
+        Only the maximal cones are charted unless one of them is singular
+        (see ``validate_fan``)."""
+        smooth = lambda c: self.cone(c).is_smooth()
+        return next(_failing_cones(self, self.maximal_cones, smooth), None)
 
     @cached_property
     def simplices(self) -> frozenset[frozenset[int]]:
@@ -138,11 +141,26 @@ def validate_fan(fan: Fan) -> ValidationReport:
     """Check pointedness and the fan axioms (a) and (b).
 
     (a) Every face of a cone is a cone of the fan.  (b) Two cones meet in
-    a face of each.  Once every cone has a vertex and (a) holds, (b) needs
-    checking only on pairs of maximal cones, which is why the check stops
-    after vertex or axiom-(a) violations.  Proof: let sigma and tau be
-    maximal (possibly equal) and meet in rho, a face of both, and let
-    sigma' <= sigma and tau' <= tau be faces.  Writing & for intersection,
+    a face of each.  The checks stop after vertex or axiom-(a) violations.
+
+    Each property is decided on the cones that generate the fan; all
+    cones are scanned, in ``cones`` order, only to name every violation
+    once a generating cone fails (``_failing_cones``).  Every cone lies on
+    a subset of the rays of a maximal cone.  So it has a vertex if that
+    cone has one, and it is smooth if that cone is, since a subset of a
+    part of a Z-basis is part of a Z-basis: the maximal cones generate
+    both properties.  For (a), a face of a face of a maximal cone is a
+    face of the maximal cone, on those of its rays that it contains; so
+    the faces of a cone that is a face of a maximal cone are in the fan
+    once the maximal cone's are.  The other cones, on a subset of a
+    maximal cone's rays that is not a face of it, which a hand-built
+    ``Fan`` or a file listing one cone on a subset of another's rays can
+    hold, generate (a) together with the maximal cones.
+
+    Once every cone has a vertex and (a) holds, (b) needs checking only on
+    pairs of maximal cones.  Proof: let sigma and tau be maximal (possibly
+    equal) and meet in rho, a face of both, and let sigma' <= sigma and
+    tau' <= tau be faces.  Writing & for intersection,
 
         sigma' & tau' = (sigma' & rho) & (tau' & rho).
 
@@ -152,45 +170,50 @@ def validate_fan(fan: Fan) -> ValidationReport:
     sigma', hence a face of sigma', and likewise of tau'.
 
     The proof needs every cone to be a face of the maximal cones that
-    contain its rays.  Face closure only adds such cones, but a hand-built
-    ``Fan``, or a file listing one cone on a subset of another's rays, can
-    hold a cone on a ray subset that is not a face, such as a ray through
-    the interior of a quadrant.  Each such cone is checked against each
-    maximal cone whose ray set contains it.
+    contain its rays, so each cone on a ray subset that is not a face,
+    such as a ray through the interior of a quadrant, is checked against
+    each maximal cone whose ray set contains it.
     """
     report = ValidationReport()
-    for c in fan.cones:
-        cone = fan.cone(c)
-        if not cone.has_vertex():
-            report.add("vertex", f"cone {c} contains a line (no vertex)")
-    if not report.valid:
-        return report
-    cone_set = set(fan.cones)
-    for c in fan.cones:
-        cone = fan.cone(c)
-        for f in cone.face_generator_sets:
-            face_rayset = _face_rayset(c, f)
-            if face_rayset not in cone_set:
-                report.add(
-                    "axiom-a",
-                    f"face {face_rayset} of cone {c} is missing from the fan",
-                )
-    if not report.valid:
-        return report
     maximal = fan.maximal_cones
-    pairs = list(itertools.combinations(maximal, 2))
+    for c in _failing_cones(fan, maximal, lambda c: fan.cone(c).has_vertex()):
+        report.add("vertex", f"cone {c} contains a line (no vertex)")
+    if not report.valid:
+        return report
+    nonfaces = []
     for d in maximal:
         faces = {_face_rayset(d, f) for f in fan.cone(d).face_generator_sets}
-        pairs += [
-            (c, d) for c in fan.cones if c not in faces and set(c) < set(d)
-        ]
-    for c1, c2 in pairs:
+        nonfaces += [(c, d) for c in fan.cones if c not in faces and set(c) < set(d)]
+    cone_set = set(fan.cones)
+
+    def missing_faces(c: RaySet) -> list[RaySet]:
+        faces = (_face_rayset(c, f) for f in fan.cone(c).face_generator_sets)
+        return [f for f in faces if f not in cone_set]
+
+    generating = maximal + tuple(c for c, _ in nonfaces)
+    for c in _failing_cones(fan, generating, lambda c: not missing_faces(c)):
+        for face in missing_faces(c):
+            report.add("axiom-a", f"face {face} of cone {c} is missing from the fan")
+    if not report.valid:
+        return report
+    for c1, c2 in list(itertools.combinations(maximal, 2)) + nonfaces:
         for c in _check_pair(fan, c1, c2):
             report.add(
                 "axiom-b",
                 f"intersection of cones {c1} and {c2} is not a face of {c}",
             )
     return report
+
+
+def _failing_cones(
+    fan: Fan, generating: Iterable[RaySet], holds: Callable[[RaySet], bool]
+) -> Iterator[RaySet]:
+    """The cones, in ``cones`` order, on which a property fails that every
+    cone inherits from the ``generating`` ones: none, without looking at
+    any other cone, when it holds on all of those."""
+    if all(holds(c) for c in generating):
+        return
+    yield from (c for c in fan.cones if not holds(c))
 
 
 def _face_rayset(c: RaySet, face: Iterable[int]) -> RaySet:
@@ -202,29 +225,26 @@ def _check_pair(fan: Fan, c1: RaySet, c2: RaySet) -> list[RaySet]:
     """Those of ``c1`` and ``c2`` of which their intersection is not a face.
 
     The intersection's dual is generated by both duals together, so one
-    double description gives the intersection's generators, and a cone
-    lies in the intersection iff its generators satisfy those dual
-    generators.  Each face of a cone is compared with the intersection
-    through the fan's own face cones, whose duals are cached, so all faces
-    must be in the fan.
+    double description gives the intersection's generators.  The smallest
+    face of a cone that contains the intersection is cut out by the facet
+    normals vanishing on those generators.  It contains the intersection
+    and lies in the cone, so it is the intersection, which is then a face,
+    iff it lies in the other cone.
     """
     k1, k2 = fan.cone(c1), fan.cone(c2)
     ineqs = list(k1.dual_cone().generators) + list(k2.dual_cone().generators)
     rays, lin = double_description(ineqs, fan.n)
-    inter = list(rays) + list(lin) + [tuple(-x for x in l) for l in lin]
+    inter = rays + lin
 
-    def is_intersection(face: Cone) -> bool:
-        return all(face.contains(g) for g in inter) and all(
-            pairing(a, g) >= 0 for g in face.generators for a in ineqs
-        )
+    def smallest_face_lies_in(k: Cone, other: Cone) -> bool:
+        normals = [a for a in k.facet_normals if not any(pairing(a, g) for g in inter)]
+        face = [g for g in k.generators if not any(pairing(a, g) for a in normals)]
+        return all(other.contains(g) for g in face)
 
     return [
         c
-        for c, cone in ((c1, k1), (c2, k2))
-        if not any(
-            is_intersection(fan.cone(_face_rayset(c, f)))
-            for f in cone.face_generator_sets
-        )
+        for c, k, other in ((c1, k1, k2), (c2, k2, k1))
+        if not smallest_face_lies_in(k, other)
     ]
 
 

@@ -10,6 +10,8 @@ import pytest
 
 import torikit.fan
 from torikit.cli import COMMANDS, main
+from torikit.errors import SmoothnessError
+from torikit.fan import parse_fan, require_smooth
 
 from conftest import P2_UNUSED_RAY, fans
 
@@ -39,6 +41,18 @@ GOLDEN_CASES = {
     "affine_plane__hilbert": ["hilbert", "fans/affine_plane.fan"],
     "a1_singular__validate": ["validate", "fans/a1_singular.fan"],
     "a1_singular__hilbert": ["hilbert", "fans/a1_singular.fan"],
+    "p3__validate": ["validate", "fans/p3.fan"],
+    "p3__orbits": ["orbits", "fans/p3.fan"],
+    "p3__betti_ordinary": ["betti", "fans/p3.fan", "--ordinary"],
+    "p3__ring": ["ring", "fans/p3.fan", "--max-degree", "6"],
+    "p3__certify": ["certify", "fans/p3.fan", "--max-degree", "6"],
+    "p3__picard": ["picard", "fans/p3.fan"],
+    "p3_blowup__validate": ["validate", "fans/p3_blowup.fan"],
+    "p3_blowup__orbits": ["orbits", "fans/p3_blowup.fan"],
+    "p3_blowup__betti_ordinary": ["betti", "fans/p3_blowup.fan", "--ordinary"],
+    "p3_blowup__ring": ["ring", "fans/p3_blowup.fan", "--max-degree", "6"],
+    "p3_blowup__certify": ["certify", "fans/p3_blowup.fan", "--max-degree", "6"],
+    "p3_blowup__picard": ["picard", "fans/p3_blowup.fan"],
 }
 
 
@@ -238,6 +252,32 @@ def test_a_cone_listing_an_interior_ray_is_not_smooth(tmp_path, capsys):
         assert "Traceback" not in err, args
 
 
+def test_validate_names_every_cone_without_a_vertex(tmp_path, capsys):
+    # the line (0, 1) is a face of no cone, but it is listed on a subset of
+    # the rays of the half-plane (0, 1, 2); both are named, in cone order
+    f = tmp_path / "line_in_half_plane.fan"
+    f.write_text("rank 2\nrays 3\n1 0\n-1 0\n0 1\nmaxcones 2\n0 1\n0 1 2\n")
+    assert main(["validate", str(f)]) == 1
+    assert capsys.readouterr().out == (
+        "invalid:\n"
+        "  [vertex] cone (0, 1) contains a line (no vertex)\n"
+        "  [vertex] cone (0, 1, 2) contains a line (no vertex)\n"
+    )
+
+
+def test_the_first_singular_cone_may_be_a_face(tmp_path, capsys):
+    # (1, 0, 0) and (1, 2, 0) span an index-2 sublattice of their plane, so
+    # the 2-D face (0, 1) is singular and comes before its maximal cone
+    text = "rank 3\nrays 3\n1 0 0\n1 2 0\n0 0 1\nmaxcones 1\n0 1 2\n"
+    with pytest.raises(SmoothnessError) as info:
+        require_smooth(parse_fan(text))
+    assert str(info.value) == "fan not smooth: rays of cone (0, 1) are not part of a Z-basis"
+    f = tmp_path / "singular_face.fan"
+    f.write_text(text)
+    assert main(["ring", str(f)]) == 1
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+
+
 @pytest.mark.parametrize(
     "ray", ["100000000000000000000000000007 1", "10000001 1"], ids=["30-digit", "det-1e7"]
 )
@@ -257,19 +297,22 @@ def test_hilbert_refuses_a_huge_parallelepiped(ray, tmp_path):
     assert elapsed < 5, elapsed
 
 
+# The cones each command charts: stratify reads the dual basis, and orbits
+# the stabilizer, of every cone; Picard and the gates need only the maximal
+# cones.
 ONE_CHART_CASES = {
-    "certify": (fans.projective_space(3), ["--max-degree", "10"]),
-    "orbits": (fans.blow_up_points(fans.projective_space(3), 2), []),
-    "picard": (fans.iterated_blowup_p2(22), []),
+    "certify": (fans.projective_space(3), ["--max-degree", "10"], "cones"),
+    "orbits": (fans.blow_up_points(fans.projective_space(3), 2), [], "cones"),
+    "picard": (fans.iterated_blowup_p2(22), [], "maximal"),
 }
 
 
 @pytest.mark.parametrize("command", sorted(ONE_CHART_CASES))
 def test_each_cone_makes_one_smith_normal_form(command, tmp_path, monkeypatch, capsys):
     """Every Smith normal form comes from a cone's chart, one per nonzero
-    cone, or from a quotient lattice presentation; nothing solves a system
-    or takes a kernel."""
-    data, options = ONE_CHART_CASES[command]
+    cone it needs, or from a quotient lattice presentation; nothing solves
+    a system or takes a kernel."""
+    data, options, charted = ONE_CHART_CASES[command]
     f = tmp_path / "fan.fan"
     f.write_text(data.text())
     calls = Counter()
@@ -294,4 +337,5 @@ def test_each_cone_makes_one_smith_normal_form(command, tmp_path, monkeypatch, c
     capsys.readouterr()
     assert {name for name, _ in calls} == {"smith_normal_form"}, calls
     assert {caller for _, caller in calls} <= {"_chart", "quotient_by_sublattice"}
-    assert calls["smith_normal_form", "_chart"] == len(data.cones()) - 1
+    cones = len(data.cones()) - 1 if charted == "cones" else len(data.maxcones)
+    assert calls["smith_normal_form", "_chart"] == cones

@@ -355,8 +355,8 @@ def test_picard_makes_one_elimination_for_its_coordinates(monkeypatch):
     assert rep.ordinary_rank == 23
     assert kernels == []
     assert quotients == [(25, [25, 25])]
-    # the validity verdict made each cone's chart, and the smoothness
-    # verdict and the dual basis characters are read off the charts
+    # the parse charted the maximal cones, and the smoothness verdict and
+    # the dual basis characters are read off those charts
     assert snf_callers == {"quotient_by_sublattice": 1}
     snf_callers.clear()
     picard(fan)

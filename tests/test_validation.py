@@ -168,19 +168,30 @@ def test_ray_moved_into_another_cone_is_invalid(data, draw):
 
 
 QUADRANT_RAYS = ((1, 0), (0, 1), (1, 1))
+UNIT_RAYS_3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 @pytest.mark.parametrize(
-    "fan, valid",
+    "fan, valid, violations",
     [
         # (2,) and (0, 2) sit on a ray subset of the quadrant that is not
         # a face of it, so they meet the quadrant in a non-face.
-        (Fan(2, QUADRANT_RAYS, [(), (0,), (1,), (2,), (0, 2), (0, 1, 2)]), False),
+        (Fan(2, QUADRANT_RAYS, [(), (0,), (1,), (2,), (0, 2), (0, 1, 2)]), False, None),
         # (0, 1) spans the same quadrant as (0, 1, 2) on fewer rays.
-        (Fan(2, QUADRANT_RAYS, [(), (0,), (1,), (0, 1), (0, 1, 2)]), True),
-        (Fan(2, ((1, 0), (0, 1)), [(0, 1)]), False),  # faces missing
-        (load_fan("overlap_invalid"), False),
-        (load_fan("a1_singular"), True),
+        (Fan(2, QUADRANT_RAYS, [(), (0,), (1,), (0, 1), (0, 1, 2)]), True, None),
+        (Fan(2, ((1, 0), (0, 1)), [(0, 1)]), False, None),  # faces missing
+        (load_fan("overlap_invalid"), False, None),
+        (load_fan("a1_singular"), True, None),
+        # The ray (2,) is missing: a face of the faces (0, 2) and (1, 2) as
+        # well as of the maximal cone, and each of them is named.
+        (
+            Fan(3, UNIT_RAYS_3, [(), (0,), (1,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]),
+            False,
+            [
+                ("axiom-a", f"face (2,) of cone {c} is missing from the fan")
+                for c in ((0, 2), (1, 2), (0, 1, 2))
+            ],
+        ),
     ],
     ids=[
         "ray-through-quadrant",
@@ -188,10 +199,14 @@ QUADRANT_RAYS = ((1, 0), (0, 1), (1, 1))
         "faces-missing",
         "overlap_invalid",
         "a1_singular",
+        "face-of-a-face-missing",
     ],
 )
-def test_hand_built_edge_cases(fan, valid):
-    assert assert_agree(fan).valid == valid
+def test_hand_built_edge_cases(fan, valid, violations):
+    report = assert_agree(fan)
+    assert report.valid == valid
+    if violations is not None:
+        assert report.violations == violations
 
 
 def test_overlap_fan_reports_only_its_maximal_pair():
@@ -225,14 +240,15 @@ def test_axiom_b_is_checked_once_per_maximal_pair(monkeypatch, data, pairs):
 
 @pytest.mark.parametrize(
     "data, count",
-    [(fans.projective_space(4), 41), (fans.p1_power(3), 55)],
+    [(fans.projective_space(4), 15), (fans.p1_power(3), 36)],
     ids=["P^4", "(P^1)^3"],
 )
-def test_parse_and_validate_make_one_double_description_per_cone_and_pair(
+def test_parse_and_validate_make_one_double_description_per_maximal_cone_and_pair(
     monkeypatch, data, count
 ):
-    """One dual per cone, built once, and one intersection per maximal
-    pair: 31 + 10 on P^4 and 27 + 28 on (P^1)^3."""
+    """One dual per maximal cone, built once, and one intersection per
+    maximal pair: 5 + 10 on P^4 and 8 + 28 on (P^1)^3.  No face needs a
+    dual."""
     calls = []
     dd = torikit.cone.double_description
 
@@ -245,7 +261,29 @@ def test_parse_and_validate_make_one_double_description_per_cone_and_pair(
     fan = parse_fan(data.text())
     assert validate_fan(fan).valid
     pairs = len(fan.maximal_cones) * (len(fan.maximal_cones) - 1) // 2
-    assert len(calls) == len(fan.cones) + pairs == count
+    assert len(calls) == len(fan.maximal_cones) + pairs == count
+
+
+@pytest.mark.parametrize(
+    "data", [fans.projective_space(4), fans.p1_power(3)], ids=["P^4", "(P^1)^3"]
+)
+def test_faces_get_no_dual_and_no_chart_from_the_gates(monkeypatch, data):
+    """On a smooth fan the smoothness gate charts only the maximal cones,
+    and the orbit table reads each stabilizer off a chart, with no double
+    description."""
+    fan = parse_fan(data.text())
+    torikit.fan.require_smooth(fan)
+
+    def cached(name):
+        return {c for c in fan.cones if name in vars(fan.cone(c))}
+
+    assert cached("_chart") == cached("_dual") == set(fan.maximal_cones)
+    calls = []
+    monkeypatch.setattr(torikit.cone, "double_description", calls.append)
+    monkeypatch.setattr(torikit.fan, "double_description", calls.append)
+    assert len(orbit_table(fan)) == len(fan.cones)
+    assert calls == []
+    assert cached("_dual") == set(fan.maximal_cones)
 
 
 GATED = {
