@@ -243,7 +243,7 @@ def test_axiom_b_is_checked_once_per_maximal_pair(monkeypatch, data, pairs):
     [(fans.projective_space(4), 15), (fans.p1_power(3), 36)],
     ids=["P^4", "(P^1)^3"],
 )
-def test_parse_and_validate_make_one_double_description_per_maximal_cone_and_pair(
+def test_parse_and_validate_make_one_double_description_per_cone_and_pair(
     monkeypatch, data, count
 ):
     """One dual per maximal cone, built once, and one intersection per
