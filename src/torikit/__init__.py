@@ -12,7 +12,7 @@ from .errors import (
 )
 from .fan import (
     Fan,
-    OrbitTable,
+    OrbitEntry,
     SimplicialComplex,
     ValidationReport,
     incompleteness_reasons,
@@ -41,7 +41,8 @@ from .picard import (
     picard,
 )
 from .rings import (
-    GradedGroupReport,
+    GradedPiece,
+    InjectivityEntry,
     SRElement,
     SRPresentation,
     char_to_linear_form,

@@ -65,7 +65,7 @@ def cmd_orbits(fan: Fan, args: argparse.Namespace) -> Result:
     table = orbit_table(fan)
     entries = []
     lines = [f"{len(table)} orbits"]
-    for e in table.entries:
+    for e in table:
         entries.append(
             {
                 "cone": list(e.rayset),
@@ -110,7 +110,7 @@ def cmd_betti(fan: Fan, args: argparse.Namespace) -> Result:
 
 def cmd_ring(fan: Fan, args: argparse.Namespace) -> Result:
     pres = rings.sr_presentation(fan)
-    report = rings.ordinary_cohomology(fan, args.max_degree)
+    pieces = rings.ordinary_cohomology(fan, args.max_degree)
     payload = {
         "command": "ring",
         "generators": pres.num_generators,
@@ -122,7 +122,7 @@ def cmd_ring(fan: Fan, args: argparse.Namespace) -> Result:
                 "torsion": list(p.torsion),
                 "basis": [list(b) for b in p.basis],
             }
-            for p in report.pieces
+            for p in pieces
         ],
     }
     lines = [
@@ -134,7 +134,7 @@ def cmd_ring(fan: Fan, args: argparse.Namespace) -> Result:
             or "(no relations)"
         )
     ]
-    for p in report.pieces:
+    for p in pieces:
         tors = f", torsion {list(p.torsion)}" if p.torsion else ""
         lines.append(f"  H^{p.degree}: rank {p.rank}{tors}")
     return payload, lines, EXIT_OK
@@ -196,6 +196,7 @@ def cmd_certify(fan: Fan, args: argparse.Namespace) -> Result:
     strat = stratification.stratify(fan)
     perfection = stratification.certify_perfection(strat)
     injectivity = rings.check_restriction_injectivity(fan, args.max_degree)
+    injective = all(e.injective for e in injectivity)
     payload = {
         "command": "certify",
         "perfection": {
@@ -206,24 +207,24 @@ def cmd_certify(fan: Fan, args: argparse.Namespace) -> Result:
             ],
         },
         "injectivity": {
-            "all_injective": injectivity.all_injective,
+            "all_injective": injective,
             "degrees": [
                 {
                     "degree": e.degree,
                     "domain_rank": e.domain_rank,
                     "image_rank": e.image_rank,
                 }
-                for e in injectivity.entries
+                for e in injectivity
             ],
         },
     }
     lines = [
         "perfection: " + ("certified" if perfection.certified else "FAILED"),
         "restriction injectivity: "
-        + ("holds" if injectivity.all_injective else "FAILED")
+        + ("holds" if injective else "FAILED")
         + f" in all degrees <= {args.max_degree}",
     ]
-    ok = perfection.certified and injectivity.all_injective
+    ok = perfection.certified and injective
     return payload, lines, EXIT_OK if ok else EXIT_PRECONDITION
 
 

@@ -11,10 +11,9 @@ half-open fundamental parallelepiped of each simplicial piece.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from math import prod
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import PointednessError, ToricError
 from .lattice import (
@@ -100,8 +99,7 @@ def double_description(
     return sorted(set(rays)), lineality
 
 
-@dataclass(frozen=True)
-class DualConeDescription:
+class DualConeDescription(NamedTuple):
     """Generators of the dual cone sigma^v inside X(T).
 
     ``rays`` are the extreme rays modulo lineality, ``lineality`` is a
@@ -186,9 +184,13 @@ class Cone:
         rays, _ = double_description(self._dual.generators, self.n)
         return tuple(rays)
 
-    def has_vertex(self) -> bool:
-        """True iff sigma meets -sigma only in 0."""
+    @cached_property
+    def _vertex(self) -> bool:
         return rank(self._dual.generators) == self.n
+
+    def has_vertex(self) -> bool:
+        """True iff sigma meets -sigma only in 0; decided once per cone."""
+        return self._vertex
 
     def contains(self, v: Sequence[int]) -> bool:
         return all(pairing(g, v) >= 0 for g in self._dual.rays) and all(

@@ -18,9 +18,8 @@ face needs no dual and no chart for them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .cone import Cone, double_description
 from .errors import CompletenessError, ParseError, SmoothnessError, ToricError
@@ -125,9 +124,9 @@ class Fan:
         return self.cone(rayset).stabilizer_characters
 
 
-@dataclass
 class ValidationReport:
-    violations: list[tuple[str, str]] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.violations: list[tuple[str, str]] = []
 
     @property
     def valid(self) -> bool:
@@ -311,41 +310,29 @@ def require_complete(fan: Fan) -> None:
         raise CompletenessError("fan not complete: " + "; ".join(reasons))
 
 
-@dataclass(frozen=True)
-class OrbitEntry:
+class OrbitEntry(NamedTuple):
     rayset: RaySet
     codim: int
     stabilizer: QuotientLatticePresentation
     divisors: RaySet  # rays v with D_v containing the orbit closure
 
 
-@dataclass(frozen=True)
-class OrbitTable:
-    entries: tuple[OrbitEntry, ...]
-
-    def __len__(self):
-        return len(self.entries)
-
-
-def orbit_table(fan: Fan) -> OrbitTable:
+def orbit_table(fan: Fan) -> tuple[OrbitEntry, ...]:
     """One orbit per cone; codimension = cone dimension; stabilizers via
     X(T_sigma) = X(T)/(sigma^perp intersect X(T))."""
     require_valid(fan)
-    entries = []
-    for c in fan.cones:
-        entries.append(
-            OrbitEntry(
-                rayset=c,
-                codim=fan.dim_of(c),
-                stabilizer=fan.stabilizer_characters(c),
-                divisors=c,
-            )
+    return tuple(
+        OrbitEntry(
+            rayset=c,
+            codim=fan.dim_of(c),
+            stabilizer=fan.stabilizer_characters(c),
+            divisors=c,
         )
-    return OrbitTable(tuple(entries))
+        for c in fan.cones
+    )
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(NamedTuple):
     num_vertices: int
     simplices: frozenset[frozenset[int]]
     minimal_nonfaces: tuple[RaySet, ...]

@@ -21,9 +21,8 @@ reduces rows in order against a sparse echelon of primitive rows.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from math import gcd
-from typing import Hashable, Mapping, Optional, Sequence
+from typing import Hashable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ShapeError
 
@@ -456,8 +455,7 @@ def kernel_basis(m: Sequence[Sequence[int]]) -> list[Vector]:
     return [tuple(v[i][j] for i in range(cols)) for j in free]
 
 
-@dataclass(frozen=True)
-class QuotientLatticePresentation:
+class QuotientLatticePresentation(NamedTuple):
     """Z^n modulo a sublattice, presented as Z^rank (+) sum Z/d_i.
 
     ``project`` sends v to its coordinates in the presentation; two vectors
@@ -469,17 +467,17 @@ class QuotientLatticePresentation:
     n: int
     rank: int
     torsion: tuple[int, ...]
-    _u: tuple[Vector, ...]
-    _free_rows: tuple[int, ...]
-    _torsion_rows: tuple[int, ...]
+    u: tuple[Vector, ...]
+    free_rows: tuple[int, ...]
+    torsion_rows: tuple[int, ...]
 
     def project(self, v: Sequence[int]) -> tuple[Vector, Vector]:
         if len(v) != self.n:
             raise ShapeError(f"vector of length {len(v)} in Z^{self.n}")
-        y = mat_vec(self._u, v)
-        free = tuple(y[i] for i in self._free_rows)
+        y = mat_vec(self.u, v)
+        free = tuple(y[i] for i in self.free_rows)
         tors = tuple(
-            y[i] % d for i, d in zip(self._torsion_rows, self.torsion)
+            y[i] % d for i, d in zip(self.torsion_rows, self.torsion)
         )
         return free, tors
 
@@ -495,13 +493,13 @@ class QuotientLatticePresentation:
 
     def projection_matrix(self) -> Matrix:
         """The rank x n matrix of the free coordinates."""
-        return [list(self._u[i]) for i in self._free_rows]
+        return [list(self.u[i]) for i in self.free_rows]
 
     def lift_basis(self) -> list[Vector]:
         """Vectors in Z^n mapping to the free unit coordinates."""
-        uinv = invert_unimodular([list(r) for r in self._u])
+        uinv = invert_unimodular([list(r) for r in self.u])
         return [
-            tuple(uinv[i][j] for i in range(self.n)) for j in self._free_rows
+            tuple(uinv[i][j] for i in range(self.n)) for j in self.free_rows
         ]
 
 

@@ -16,8 +16,7 @@ divisors are linearized with weight zero).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import IncompatibleFamilyError
 from .fan import Fan, RaySet, require_smooth
@@ -25,8 +24,7 @@ from .lattice import Vector, pairing, quotient_by_sublattice, solve_integer
 from .stratification import dual_basis_character
 
 
-@dataclass(frozen=True)
-class CharacterFamily:
+class CharacterFamily(NamedTuple):
     """One representative character per maximal cone; the datum is its
     class in X(T_sigma) = X(T)/(sigma^perp intersect X(T))."""
 
@@ -77,8 +75,7 @@ class CharacterFamily:
         return self + (-other)
 
 
-@dataclass(frozen=True)
-class PicardReport:
+class PicardReport(NamedTuple):
     equivariant_rank: int
     equivariant_torsion: tuple[int, ...]
     equivariant_basis: tuple[CharacterFamily, ...]
@@ -122,7 +119,7 @@ def picard(fan: Fan) -> PicardReport:
 
 def equivariant_picard(fan: Fan) -> PicardReport:
     """Pic_T(X) alone: ``picard`` without the ordinary part."""
-    return replace(picard(fan), ordinary_rank=None, ordinary_torsion=None)
+    return picard(fan)._replace(ordinary_rank=None, ordinary_torsion=None)
 
 
 def divisor_class(fan: Fan, coeffs: Sequence[int]) -> CharacterFamily:

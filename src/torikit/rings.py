@@ -23,9 +23,8 @@ support.  ``restriction_map`` gives the restriction in SNF coordinates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .fan import (
     Fan,
@@ -140,8 +139,7 @@ def sr_monomial(fan: Fan, expo: Sequence[int], coeff: int = 1) -> SRElement:
     return SRElement(fan, {tuple(expo): coeff})
 
 
-@dataclass(frozen=True)
-class SRPresentation:
+class SRPresentation(NamedTuple):
     """Z[x_v : v ray] modulo the squarefree monomials of minimal non-faces."""
 
     num_generators: int
@@ -205,23 +203,14 @@ def char_to_linear_form(fan: Fan, chi: Sequence[int]) -> SRElement:
     return SRElement(fan, terms)
 
 
-@dataclass(frozen=True)
-class GradedPiece:
+class GradedPiece(NamedTuple):
     degree: int
     rank: int
     torsion: tuple[int, ...]
     basis: tuple[Exponents, ...]
 
 
-@dataclass(frozen=True)
-class GradedGroupReport:
-    pieces: tuple[GradedPiece, ...]
-
-    def ranks(self) -> list[int]:
-        return [p.rank for p in self.pieces]
-
-
-def ordinary_cohomology(fan: Fan, max_degree: int) -> GradedGroupReport:
+def ordinary_cohomology(fan: Fan, max_degree: int) -> tuple[GradedPiece, ...]:
     """Graded pieces of the face ring modulo the linear forms of a basis
     of X(T), each presented as an integer cokernel.
 
@@ -261,7 +250,7 @@ def ordinary_cohomology(fan: Fan, max_degree: int) -> GradedGroupReport:
             )
         )
         lower = {m: i for i, m in enumerate(monos)}
-    return GradedGroupReport(tuple(pieces))
+    return tuple(pieces)
 
 
 def restriction_map(
@@ -298,8 +287,7 @@ def restriction_map(
     return {e: c for e, c in out.items() if c != 0}
 
 
-@dataclass(frozen=True)
-class InjectivityEntry:
+class InjectivityEntry(NamedTuple):
     degree: int
     domain_rank: int
     image_rank: int
@@ -309,18 +297,9 @@ class InjectivityEntry:
         return self.domain_rank == self.image_rank
 
 
-@dataclass(frozen=True)
-class InjectivityReport:
-    entries: tuple[InjectivityEntry, ...]
-
-    @property
-    def all_injective(self) -> bool:
-        return all(e.injective for e in self.entries)
-
-
 def check_restriction_injectivity(
     fan: Fan, max_degree: int
-) -> InjectivityReport:
+) -> tuple[InjectivityEntry, ...]:
     """Rank (over Q) of the restriction of each graded piece to the
     product of the strata's cohomologies, read off in ray coordinates.
 
@@ -348,4 +327,4 @@ def check_restriction_injectivity(
                 degree=degree, domain_rank=len(monos), image_rank=image_rank
             )
         )
-    return InjectivityReport(tuple(entries))
+    return tuple(entries)

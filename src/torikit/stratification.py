@@ -11,8 +11,8 @@ Smoothness and completeness are required through the gates of ``fan``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
+from typing import NamedTuple
 
 from .errors import SmoothnessError, ToricError
 from .fan import Fan, RaySet, require_complete, require_smooth
@@ -49,8 +49,7 @@ def one_minus_t2_pow(k: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class PoincareSeries:
+class PoincareSeries(NamedTuple):
     """numerator(t) / (1 - t^2)^denominator_exponent."""
 
     numerator: tuple[int, ...]
@@ -89,16 +88,14 @@ def dual_basis_character(fan: Fan, rayset: RaySet, v: int) -> Vector:
     return basis[key.index(v)]
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(NamedTuple):
     rayset: RaySet
     codim: int
     # dual basis character lifts, one per ray of the cone, in ray order
     normal_weights: tuple[Vector, ...]
 
 
-@dataclass(frozen=True)
-class Stratification:
+class Stratification(NamedTuple):
     fan: Fan
     strata: tuple[Stratum, ...]
 
@@ -117,9 +114,9 @@ def stratify(fan: Fan) -> Stratification:
     return Stratification(fan=fan, strata=tuple(strata))
 
 
-@dataclass
 class PerfectionReport:
-    failures: list[tuple[RaySet, Vector]] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.failures: list[tuple[RaySet, Vector]] = []
 
     @property
     def certified(self) -> bool:

@@ -53,7 +53,7 @@ def report(number, ok, text):
 def test_criterion_1_affine_plane_orbits():
     fan = load_fan("affine_plane")
     table = orbit_table(fan)
-    codims = sorted(e.codim for e in table.entries)
+    codims = sorted(e.codim for e in table)
     ok = len(table) == 4 and codims == [0, 1, 1, 2]
     report(1, ok, "affine plane has 4 orbits with codimensions 0,1,1,2")
 
@@ -69,7 +69,7 @@ def test_criterion_2_two_path_poincare_agreement():
     for name, want in expected.items():
         fan = load_fan(name)
         via_stratification = ordinary_poincare_polynomial(fan)
-        ranks = ordinary_cohomology(fan, 2 * fan.n).ranks()
+        ranks = [p.rank for p in ordinary_cohomology(fan, 2 * fan.n)]
         via_ring = []
         for deg in range(0, 2 * fan.n + 1):
             via_ring.append(ranks[deg // 2] if deg % 2 == 0 else 0)
@@ -107,8 +107,9 @@ def test_criterion_3_graded_rank_identity():
 def test_criterion_4_restriction_injectivity():
     start = time.monotonic()
     ok = all(
-        check_restriction_injectivity(load_fan(name), 10).all_injective
+        e.injective
         for name in SMOOTH_GOLDEN
+        for e in check_restriction_injectivity(load_fan(name), 10)
     )
     elapsed = time.monotonic() - start
     report(

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import torikit.cone
 from torikit.cone import Cone, double_description
 from torikit.errors import PointednessError
 from torikit.lattice import pairing
@@ -111,6 +112,16 @@ def test_dim_and_vertex():
     assert Cone([(1, 0), (-1, 0)], 2).dim == 1
     assert Cone([(1, 0), (0, 1)], 2).has_vertex()
     assert not Cone([(1, 0), (-1, 0)], 2).has_vertex()
+
+
+@pytest.mark.parametrize("gens", [[(1, 0, 0), (0, 1, 0)], [(1, 0, 0), (-1, 0, 0)]])
+def test_vertex_verdict_is_ranked_once(monkeypatch, gens):
+    cone = Cone(gens, 3)
+    first = cone.has_vertex()
+    calls = []
+    monkeypatch.setattr(torikit.cone, "rank", lambda *a: calls.append(a))
+    assert cone.has_vertex() == first
+    assert calls == []
 
 
 def test_contains():

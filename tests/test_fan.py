@@ -112,9 +112,9 @@ def test_incompleteness_reasons_mention_boundary():
 def test_orbit_table_affine_plane(affine_plane):
     table = orbit_table(affine_plane)
     assert len(table) == 4
-    codims = sorted(e.codim for e in table.entries)
+    codims = sorted(e.codim for e in table)
     assert codims == [0, 1, 1, 2]
-    by_rayset = {e.rayset: e for e in table.entries}
+    by_rayset = {e.rayset: e for e in table}
     # dense orbit: trivial stabilizer, no divisors contain it
     assert by_rayset[()].stabilizer.rank == 0
     assert by_rayset[()].divisors == ()
@@ -134,7 +134,7 @@ def test_orbit_stabilizer_rank_is_codim():
     # for smooth cones
     for name in SMOOTH_GOLDEN:
         fan = load_fan(name)
-        for e in orbit_table(fan).entries:
+        for e in orbit_table(fan):
             assert e.stabilizer.rank == e.codim
             assert e.stabilizer.torsion == ()
 

@@ -6,6 +6,10 @@
   ``fractions``.
 * Preconditions and internal checks raise ``ToricError``; ``assert`` is
   stripped under ``python -O``, so the package has none.
+* Records are named tuples or plain classes, and no module imports
+  ``dataclasses``: each ``@dataclass`` generates and compiles its methods
+  on every import, a large share of the start-up when no bytecode is
+  cached.
 * No dead helpers: every private (``_name``) module-level function and
   method is referenced somewhere in the package outside its own body.
 """
@@ -34,7 +38,8 @@ def test_no_fractions_and_no_assert(path):
             names = [(node.module or "").split(".")[0]]
         else:
             names = []
-        assert "fractions" not in names, f"{path.name}:{node.lineno} imports fractions"
+        for banned in ("fractions", "dataclasses"):
+            assert banned not in names, f"{path.name}:{node.lineno} imports {banned}"
         assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno} uses assert"
 
 
