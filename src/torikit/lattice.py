@@ -12,10 +12,11 @@ it uses unimodular row and column operations over Z, and each ``Cone``
 reads sigma^perp, smoothness and its dual basis off one.
 
 Large sparse matrices, such as the relations of the graded pieces in
-``rings``, have a sparse kernel with two jobs on rows kept as dicts:
-``elementary_divisors`` eliminates unit pivots in Markowitz order and
-hands what is left to ``smith_normal_form``, and ``dependent_rows``
-reduces rows in order against a sparse echelon of primitive rows.
+``rings``, have one sparse kernel on rows kept as dicts: ``cokernel``
+reduces the rows in order against a sparse echelon with unimodular row
+operations only, and reads off it both the rows in the span of the rows
+before them and the elementary divisors.  The rows of the echelon whose
+pivots are not units go to ``smith_normal_form``.
 """
 
 from __future__ import annotations
@@ -234,144 +235,59 @@ def diagonal_of(d: Sequence[Sequence[int]]) -> list[int]:
 SparseRow = Mapping[Hashable, int]
 
 
-def _resize(buckets: dict, size: dict, key, n: int) -> None:
-    """File ``key`` under its new count ``n`` (0 drops it)."""
-    old = size.get(key, 0)
-    if old == n:
-        return
-    if old:
-        buckets[old].discard(key)
-    if n:
-        size[key] = n
-        buckets.setdefault(n, set()).add(key)
-    else:
-        del size[key]
+def _bezout(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = s*a + t*b = +-gcd(a, b) for a != 0, and
+    (a, 1, 0) when a divides b."""
+    if b % a == 0:
+        return a, 1, 0
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        k, r = divmod(a, b)
+        a, b, s0, s1, t0, t1 = b, r, s1, s0 - k * s1, t1, t0 - k * t1
+    return a, s0, t0
 
 
-def _markowitz_unit_pivot(rows, cols, row_buckets, col_buckets):
-    """The +-1 entry (row, column) of least Markowitz cost (r-1)(c-1), r
-    and c the counts of its row and column, or None if there is none.
+def cokernel(rows: Sequence[SparseRow]) -> tuple[list[int], list[int]]:
+    """``(divisors, dependent)`` for the integer matrix whose rows are the
+    sparse ``rows`` (missing keys are zero entries).
 
-    Columns and rows are searched by increasing count k, as in Duff's
-    MA28, and the search stops once the best cost is at most k*k: every
-    entry not yet seen has a row and a column of more than k entries."""
-    best, best_cost = None, 0
-    top = max(max(row_buckets, default=0), max(col_buckets, default=0))
-    for k in range(1, top + 1):
-        for c in col_buckets.get(k, ()):
-            for i in cols[c]:
-                if rows[i][c] in (1, -1):
-                    cost = (len(rows[i]) - 1) * (k - 1)
-                    if best is None or cost < best_cost:
-                        if not cost:
-                            return i, c
-                        best, best_cost = (i, c), cost
-        for i in row_buckets.get(k, ()):
-            for c, x in rows[i].items():
-                if x in (1, -1):
-                    cost = (k - 1) * (len(cols[c]) - 1)
-                    if best is None or cost < best_cost:
-                        if not cost:
-                            return i, c
-                        best, best_cost = (i, c), cost
-        if best is not None and best_cost <= k * k:
-            break
-    return best
+    ``divisors`` are its nonzero elementary divisors, in divisibility-chain
+    order; a matrix and its transpose have the same ones, so the rows may
+    just as well be its columns.  ``dependent`` are the indices of the rows
+    that lie in the Q-span of the rows before them.  The other rows are
+    the greedy row basis, so the unit vectors at the dependent indices are
+    a Q-basis of the cokernel of the matrix.
 
+    One pass reduces each row r in turn against a sparse echelon E, using
+    only unimodular row operations (Kannan and Bachem, SIAM J. Comput. 8,
+    1979), so that E and the rows still to come always generate the row
+    lattice.  Each row of E has a pivot column and is zero on the pivot
+    columns of the rows stored before it.  r meets the pivots it has in
+    storage order (a heap).  At the pivot c of the row p of E, with
+    q = p[c], x = r[c] and g = s*q + t*x = +-gcd(q, x), s = 1 and t = 0
+    when q divides x,
 
-def elementary_divisors(vectors: Sequence[SparseRow]) -> list[int]:
-    """Nonzero elementary divisors of the integer matrix whose rows are the
-    sparse ``vectors`` (missing keys are zero entries), in divisibility-chain
-    order.  A matrix and its transpose have the same divisors, so the
-    vectors may just as well be its columns.
+        (p, r) <- (s*p + t*r, (q/g)*r - (x/g)*p),
 
-    Unit pivots go first, least fill first (Markowitz; Dumas, Saunders and
-    Villard, "On efficient sparse integer matrix Smith normal form
-    computations", J. Symb. Comput. 2001).  Clearing a +-1 pivot's column
-    by row operations is unimodular, and its row is then cleared by column
-    operations that change no other entry, so each unit pivot splits off a
-    divisor 1 and leaves the rest of the matrix with the same divisors.
-    What is left when no entry is a unit goes to ``smith_normal_form``.
-    """
-    rows: dict[int, dict] = {}
-    cols: dict = {}
-    for i, v in enumerate(vectors):
-        row = {c: x for c, x in v.items() if x}
-        if row:
-            rows[i] = row
-            for c in row:
-                cols.setdefault(c, set()).add(i)
-    row_buckets: dict[int, set] = {}
-    col_buckets: dict[int, set] = {}
-    row_size: dict = {}
-    col_size: dict = {}
-    for i, row in rows.items():
-        _resize(row_buckets, row_size, i, len(row))
-    for c, members in cols.items():
-        _resize(col_buckets, col_size, c, len(members))
-    units = 0
-    while True:
-        pivot = _markowitz_unit_pivot(rows, cols, row_buckets, col_buckets)
-        if pivot is None:
-            break
-        top, c0 = pivot
-        prow = rows.pop(top)
-        _resize(row_buckets, row_size, top, 0)
-        for c in prow:
-            cols[c].discard(top)
-        p = prow.pop(c0)
-        for i in cols.pop(c0):
-            row = rows[i]
-            f = row.pop(c0) * p  # = row[c0] / p, as p = +-1
-            for c, x in prow.items():
-                y = row.get(c, 0) - f * x
-                if y:
-                    if c not in row:
-                        cols[c].add(i)
-                    row[c] = y
-                elif c in row:
-                    del row[c]
-                    cols[c].discard(i)
-            if not row:
-                del rows[i]
-            _resize(row_buckets, row_size, i, len(row))
-        _resize(col_buckets, col_size, c0, 0)
-        for c in prow:
-            n = len(cols[c])
-            if not n:
-                del cols[c]
-            _resize(col_buckets, col_size, c, n)
-        units += 1
-    rest: list[int] = []
-    if rows:
-        where = {c: j for j, c in enumerate(cols)}
-        block = []
-        for row in rows.values():
-            dense = [0] * len(where)
-            for c, x in row.items():
-                dense[where[c]] = x
-            block.append(dense)
-        rest = [x for x in diagonal_of(smith_normal_form(block)[1]) if x]
-    return [1] * units + rest
+    a change of determinant s*q/g + t*x/g = 1 that clears c from r and
+    leaves g at p's pivot c.  Both rows are zero on the pivots stored
+    before p, so no pivot already cleared comes back, and p stays zero on
+    them.  Rows are never divided by their content: that would change the
+    lattice.  Once r is zero on every pivot, it is in the Q-span of E
+    exactly when it is zero (read a combination of the rows of E at their
+    pivots, in storage order), and then its row is dependent; otherwise r
+    joins E with an entry of least absolute value as its pivot.
 
-
-def dependent_rows(rows: Sequence[SparseRow]) -> list[int]:
-    """Indices of the rows that lie in the Q-span of the rows before them.
-
-    The other rows are the greedy row basis, so the unit vectors at the
-    dependent indices are a Q-basis of the cokernel of the matrix (the
-    matrix restricted to the other rows has full rank).  Each row r is
-    reduced in turn against a sparse echelon of primitive integer rows,
-    one per independent row so far: for the pivot column c of an echelon
-    row p, r <- a*r - b*p with a*r[c] = b*p[c], and r is divided by its
-    content when a is not a unit.  Each echelon row is zero on the pivot columns of the rows
-    stored before it, so eliminating pivots in the order they were stored
-    never brings back one already eliminated.  What is left is zero
-    exactly when r is dependent; otherwise it is stored, with an entry of
-    least absolute value as its pivot.
+    E then has full row rank and generates the row lattice, so it has the
+    divisors of the matrix.  Walk E in storage order, keeping the non-unit
+    rows so far in N.  A row with a +-1 pivot at c clears c from N by row
+    operations; no later row of E has an entry at c, so column operations
+    clear the rest of the row and change no other, and it splits off a
+    divisor 1.  A row with a non-unit pivot joins N.  The divisors of what
+    is left, N, come from ``smith_normal_form``.
     """
     echelon_rows: dict = {}  # pivot column -> (order stored, row)
-    out = []
+    dependent = []
     for index, v in enumerate(rows):
         r = {c: x for c, x in v.items() if x}
         heap = [(echelon_rows[c][0], c) for c in r if c in echelon_rows]
@@ -381,9 +297,14 @@ def dependent_rows(rows: Sequence[SparseRow]) -> list[int]:
             x = r.get(c)
             if x is None:
                 continue
-            p = echelon_rows[c][1]
+            order, p = echelon_rows[c]
             q = p[c]
-            g = gcd(x, q)
+            g, s, t = _bezout(q, x)
+            if t:
+                new = {k: s * y for k, y in p.items()}
+                for k, y in r.items():
+                    new[k] = new.get(k, 0) + t * y
+                echelon_rows[c] = (order, {k: y for k, y in new.items() if y})
             a, b = q // g, x // g
             if a != 1:
                 for k in r:
@@ -396,25 +317,40 @@ def dependent_rows(rows: Sequence[SparseRow]) -> list[int]:
                     r[k] = z
                 else:
                     r.pop(k, None)
-            if a not in (1, -1):
-                _divide_by_content(r)
         if r:
-            _divide_by_content(r)
             pivot = min(r, key=lambda k: abs(r[k]))
             echelon_rows[pivot] = (len(echelon_rows), r)
         else:
-            out.append(index)
-    return out
-
-
-def _divide_by_content(r: dict) -> None:
-    g = 0
-    for x in r.values():
-        g = gcd(g, x)
-        if g == 1:
-            return
-    for k in r:
-        r[k] //= g
+            dependent.append(index)
+    units = 0
+    rest: list[dict] = []
+    for c, (_, p) in echelon_rows.items():  # in storage order
+        u = p[c]
+        if u not in (1, -1):
+            rest.append(p)
+            continue
+        for n in rest:
+            f = n.get(c, 0) * u  # = n[c] / u
+            if f:
+                for k, y in p.items():
+                    z = n.get(k, 0) - f * y
+                    if z:
+                        n[k] = z
+                    else:
+                        n.pop(k, None)
+        units += 1
+    divisors = [1] * units
+    if rest:
+        where: dict = {}
+        for n in rest:
+            for k in n:
+                where.setdefault(k, len(where))
+        block = [[0] * len(where) for _ in rest]
+        for dense, n in zip(block, rest):
+            for k, x in n.items():
+                dense[where[k]] = x
+        divisors += [x for x in diagonal_of(smith_normal_form(block)[1]) if x]
+    return divisors, dependent
 
 
 def solve_integer(

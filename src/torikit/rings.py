@@ -7,11 +7,15 @@ x_v sit in degree 2, one per ray.
 
 Ordinary cohomology is the face ring modulo the linear forms of X(T).
 The relations of each graded piece are sparse rows built straight from
-the ray coordinates.  The sparse kernel of ``lattice`` reads the rank and
-torsion off their elementary divisors, and the basis off the rows that
-lie in the span of the rows before them.  No dense matrix is built; the
-dense Smith normal form sees only a block without unit entries, and on
-the smooth complete fans tested there is none.
+the ray coordinates.  One unimodular row reduction of them, by
+``lattice.cokernel``, gives the rank and torsion from their elementary
+divisors and the basis from the rows that lie in the span of the rows
+before them.  No dense matrix is built but one: the rows of the echelon
+whose pivots are not units, after the unit pivots are cleared out of
+them, go to the dense Smith normal form.  In the cases tried there are
+none on P^n, (P^1)^n, the Hirzebruch surfaces and P^3 blown up at
+points; iterated blow-ups of P^2 leave a few, such as 18 or 19 rows for
+P^2 blown up 22 times in degree 8.
 
 On a smooth fan the restriction to the orbit strata is injective in
 every degree, and ``check_restriction_injectivity`` reads its rank off
@@ -33,7 +37,7 @@ from .fan import (
     require_smooth,
     simplicial_complex,
 )
-from .lattice import Vector, dependent_rows, elementary_divisors, pairing
+from .lattice import Vector, cokernel, pairing
 from .stratification import dual_basis_character
 
 Exponents = tuple[int, ...]
@@ -221,8 +225,8 @@ def ordinary_cohomology(fan: Fan, max_degree: int) -> tuple[GradedPiece, ...]:
     (j, m - e_v) for each ray v in supp(m), and no other, because
     theta_j * m' has the term mu_v[j] * (m' + e_v) exactly when supp(m')
     together with v is a simplex, and every subset of a simplex is one.
-    The rank and torsion come from ``lattice.elementary_divisors``, the
-    basis from ``lattice.dependent_rows``.
+    One ``lattice.cokernel`` call per degree gives the rank and torsion
+    from the elementary divisors, and the basis from the dependent rows.
     """
     require_smooth(fan)
     require_complete(fan)
@@ -240,13 +244,13 @@ def ordinary_cohomology(fan: Fan, max_degree: int) -> tuple[GradedPiece, ...]:
                         if x:
                             row[col + j] = x
             relations.append(row)
-        divisors = elementary_divisors(relations)
+        divisors, dependent = cokernel(relations)
         pieces.append(
             GradedPiece(
                 degree=degree,
                 rank=len(monos) - len(divisors),
                 torsion=tuple(x for x in divisors if x > 1),
-                basis=tuple(monos[i] for i in dependent_rows(relations)),
+                basis=tuple(monos[i] for i in dependent),
             )
         )
         lower = {m: i for i, m in enumerate(monos)}

@@ -1,6 +1,6 @@
 """The fraction-free elimination kernel and its callers, and the sparse
-kernel for elementary divisors and dependent rows, against sympy, the dense
-Smith normal form and brute force."""
+kernel ``cokernel`` (elementary divisors and dependent rows), against
+sympy, the dense Smith normal form and brute force."""
 
 import itertools
 
@@ -12,11 +12,10 @@ from sympy.matrices.normalforms import invariant_factors
 
 from torikit.cone import _parallelepiped_points
 from torikit.lattice import (
-    dependent_rows,
+    cokernel,
     determinant,
     diagonal_of,
     echelon,
-    elementary_divisors,
     invert_unimodular,
     mat_mul,
     rank,
@@ -165,13 +164,13 @@ def sparse(m):
 def test_cokernel_basis_rows_are_the_dependent_rows(m):
     independent = set(greedy_independent_rows(m))
     expected = [i for i in range(len(m)) if i not in independent]
-    assert dependent_rows(sparse(m)) == expected
+    assert cokernel(sparse(m))[1] == expected
 
 
 def test_cokernel_basis_rows_without_relations():
     # zero rows lie in the span of nothing
-    assert dependent_rows([{}, {}, {}]) == [0, 1, 2]
-    assert dependent_rows([]) == []
+    assert cokernel([{}, {}, {}]) == ([], [0, 1, 2])
+    assert cokernel([]) == ([], [])
 
 
 @st.composite
@@ -221,17 +220,26 @@ def sympy_divisors(m):
 def test_elementary_divisors_match_the_dense_smith_normal_form(m):
     assume(m)
     want = dense_divisors(m)
-    assert elementary_divisors(sparse(m)) == want
-    assert elementary_divisors(sparse(transpose(m))) == want
+    assert cokernel(sparse(m))[0] == want
+    assert cokernel(sparse(transpose(m)))[0] == want
     assert want == sympy_divisors(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(sparse_matrices(), matrices(max_rows=7, max_cols=7)))
+def test_cokernel_counts_every_row_once(m):
+    """The rank is the number of nonzero divisors, and every other row is
+    dependent."""
+    divisors, dependent = cokernel(sparse(m))
+    assert len(divisors) + len(dependent) == len(m)
 
 
 @settings(max_examples=100, deadline=None)
 @given(with_known_divisors())
 def test_elementary_divisors_of_products_with_unimodular_matrices(case):
     m, chain = case
-    assert elementary_divisors(sparse(m)) == chain
-    assert elementary_divisors(sparse(transpose(m))) == chain
+    assert cokernel(sparse(m))[0] == chain
+    assert cokernel(sparse(transpose(m)))[0] == chain
     assert dense_divisors(m) == chain
 
 
@@ -245,13 +253,22 @@ def test_elementary_divisors_of_products_with_unimodular_matrices(case):
         ([[0, 4, -6, 0, 10]], [2]),  # a single row
         ([[0], [9], [0], [-12]], [3]),  # a single column
         ([[1, 1], [1, -1]], [1, 2]),  # a unit pivot leaves a non-unit entry
+        ([[2, 3], [3, 5]], [1, 1]),  # a gcd step makes the pivot a unit
+        ([[2], [3], [5]], [1]),
+        # the unit pivot of the second row is cleared out of the first
+        ([[2, 3, 0], [0, 1, 5]], [1, 1]),
     ],
 )
 def test_elementary_divisors_edge_cases(m, want):
-    assert elementary_divisors(sparse(m)) == want
+    assert cokernel(sparse(m))[0] == want
     if m:
         assert dense_divisors(m) == want
         assert sympy_divisors(m) == want
+
+
+def test_cokernel_of_coprime_multiples():
+    # gcd steps turn 2 into 1; the rows 3 and 5 are in the span of row 0
+    assert cokernel(sparse([[2], [3], [5]])) == ([1], [1, 2])
 
 
 def box_points(cols):

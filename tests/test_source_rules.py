@@ -1,9 +1,8 @@
 """Rules on the package source, checked by parsing it.
 
 * Exact elimination is fraction-free: the dense kernel ``lattice.echelon``
-  and the sparse one behind ``lattice.elementary_divisors`` and
-  ``lattice.dependent_rows`` work on integers, and no module imports
-  ``fractions``.
+  and the sparse one, ``lattice.cokernel``, work on integers, and no
+  module imports ``fractions``.
 * Preconditions and internal checks raise ``ToricError``; ``assert`` is
   stripped under ``python -O``, so the package has none.
 * Records are named tuples or plain classes, and no module imports
