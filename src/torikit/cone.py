@@ -2,10 +2,11 @@
 
 A cone is stored by its primitive generators.  One Smith normal form
 U G V = D of the generator rows G, the cone's chart, gives sigma^perp,
-smoothness and the dual basis.  Duality is computed by the double
-description method with incremental inequality insertion; Hilbert bases
-of dual monoids by triangulating the dual cone and enumerating the
-half-open fundamental parallelepiped of each simplicial piece.
+smoothness and the dual basis.  One double description gives the dual,
+and the faces and extreme rays are read off its rays.  Hilbert bases of
+dual monoids come from the dual's image modulo sigma^perp, triangulated
+on its facet normals, by enumerating the half-open fundamental
+parallelepiped of each simplicial piece.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .lattice import (
     quotient_by_sublattice,
     rank,
     smith_normal_form,
+    transpose,
 )
 
 # ``hilbert_basis`` refuses a parallelepiped with more lattice points (it
@@ -178,11 +180,11 @@ class Cone:
 
     @cached_property
     def extreme_rays(self) -> tuple[Vector, ...]:
-        # Linearly independent generators are the extreme rays already.
-        if len(self.generators) == self.dim:
-            return tuple(sorted(self.generators))
-        rays, _ = double_description(self._dual.generators, self.n)
-        return tuple(rays)
+        """The generators that span a face of their own, sorted."""
+        if not self.has_vertex():
+            raise PointednessError("cone without vertex has no extreme rays")
+        faces = self.face_generator_sets
+        return tuple(sorted(self.generators[min(s)] for s in faces if len(s) == 1))
 
     @cached_property
     def _vertex(self) -> bool:
@@ -232,12 +234,7 @@ class Cone:
         are read off as the generators tight on a facet normal.
         """
         full = frozenset(range(len(self.generators)))
-        facet_sets = {
-            frozenset(
-                i for i, g in enumerate(self.generators) if pairing(eta, g) == 0
-            )
-            for eta in self._dual.rays
-        }
+        facet_sets = _facet_sets(self.generators, self._dual.rays)
         faces = {full}
         frontier = {full}
         while frontier:
@@ -254,38 +251,31 @@ class Cone:
     def hilbert_basis(self) -> list[Vector]:
         """Minimal generating set of the monoid sigma^v intersect X(T).
 
-        Requires a cone with a vertex.  When sigma is not full dimensional
-        the dual has lineality sigma^perp; the basis then consists of both
-        signs of a lattice basis of sigma^perp together with lifts of the
-        Hilbert basis of the projected pointed cone.
+        Requires a cone with a vertex.  The basis is both signs of a lattice
+        basis of sigma^perp, the dual's lineality, and lifts of the Hilbert
+        basis of the image tau of sigma^v in X(T_sigma) = X(T) / sigma^perp.
+        With projection P and lift columns L (P L = I, and P = L = I when
+        sigma is full dimensional), m - L P m lies in sigma^perp, so
+        <P m, L^T g> = <m, g> for g in sigma.  Hence tau, spanned by the P r
+        for the dual's rays r, is {y : <y, L^T g> >= 0} over the extreme rays
+        g of sigma (y = P (L y)), and as L^T is injective on the span of
+        sigma, the L^T g are its facet normals.
         """
         if not self.has_vertex():
             raise PointednessError("cone without vertex has no Hilbert basis")
-        if self.n == 0:
-            return []
         dual = self._dual
-        if not dual.lineality:
-            return _hilbert_pointed(
-                list(dual.rays), list(self.extreme_rays), self.n
-            )
-        q = quotient_by_sublattice(self.n, dual.lineality)
-        proj = q.projection_matrix()
+        q = self.stabilizer_characters
         lifts = q.lift_basis()
-        projected = Cone([mat_vec(proj, r) for r in dual.rays], q.rank)
-        # The projected cone is the image of sigma^v, pointed and full
-        # dimensional downstairs; its Hilbert basis lifts along any section.
         sub = _hilbert_pointed(
-            list(projected.generators), list(projected.facet_normals), q.rank
+            [primitive(q.free_part(r)) for r in dual.rays],
+            [primitive(mat_vec(lifts, g)) for g in self.extreme_rays],
+            q.rank,
         )
-        out: list[Vector] = []
-        for b in dual.lineality:
-            out.append(b)
-            out.append(tuple(-x for x in b))
+        # both signs of each lineality basis vector, which follow the rays
+        out = list(dual.generators[len(dual.rays):])
+        lift_matrix = transpose(lifts)
         for h in sub:
-            x = tuple(
-                sum(h[j] * lifts[j][i] for j in range(q.rank))
-                for i in range(self.n)
-            )
+            x = mat_vec(lift_matrix, h)
             if any(pairing(x, g) < 0 for g in self.generators):
                 raise ToricError(
                     f"lifted Hilbert basis element {x} is not in the dual cone"
@@ -297,9 +287,8 @@ class Cone:
 def _hilbert_pointed(
     gens: list[Vector], normals: list[Vector], d: int
 ) -> list[Vector]:
-    """Hilbert basis of the pointed full-dimensional cone spanned by ``gens``.
-
-    ``normals`` cut the cone out: x belongs iff <x, nu> >= 0 for all nu.
+    """Hilbert basis of the pointed full-dimensional cone with extreme rays
+    ``gens`` and facet normals ``normals``: x belongs iff <x, nu> >= 0.
     Candidates are the generators plus the lattice points of the half-open
     parallelepipeds of a triangulation; reducible candidates (x - y stays
     in the cone for an accepted y) are discarded in increasing order of a
@@ -312,7 +301,7 @@ def _hilbert_pointed(
     if len(gens) == 1:
         return [gens[0]]
     candidates = set(gens)
-    for simplex in _triangulate(Cone(gens, d)):
+    for simplex in _triangulate(gens, normals):
         candidates.update(_parallelepiped_points(simplex))
     candidates.discard((0,) * d)
     ell = tuple(sum(nu[i] for nu in normals) for i in range(d))
@@ -329,25 +318,42 @@ def _hilbert_pointed(
     return sorted(basis)
 
 
-def _triangulate(cone: Cone) -> list[list[Vector]]:
-    """Split a pointed cone into simplicial subcones on its extreme rays."""
-    rays = list(cone.extreme_rays)
-    if len(rays) == cone.dim:
-        return [rays]
-    v = rays[0]
-    out = []
-    facets = [
-        s
-        for s in cone.face_generator_sets
-        if rank([list(cone.generators[i]) for i in s]) == cone.dim - 1
-    ]
-    for s in facets:
-        facet_rays = [cone.generators[i] for i in sorted(s)]
-        if v in facet_rays:
-            continue
-        for simplex in _triangulate(Cone(facet_rays, cone.n)):
-            out.append(simplex + [v])
-    return out
+def _facet_sets(
+    gens: Sequence[Vector], normals: Sequence[Vector]
+) -> set[frozenset[int]]:
+    """For each normal, the indices of the generators on its hyperplane."""
+    return {
+        frozenset(i for i, g in enumerate(gens) if pairing(nu, g) == 0)
+        for nu in normals
+    }
+
+
+def _triangulate(
+    gens: list[Vector], normals: list[Vector]
+) -> list[list[Vector]]:
+    """Split the pointed full-dimensional cone with extreme rays ``gens`` and
+    facet normals ``normals`` into simplicial cones, pulling the least ray.
+
+    Faces are index sets into ``gens``: the facets are the sets tight on a
+    normal, and the facets of a face F the maximal proper sets F & f.  A
+    face is simplicial when its size is its dimension.  Facets are visited
+    in the order (size, sorted indices).
+    """
+    facets = _facet_sets(gens, normals)
+
+    def pull(face: frozenset[int], dim: int) -> list[list[Vector]]:
+        rays = sorted(gens[i] for i in face)
+        if len(face) == dim:
+            return [rays]
+        v = gens.index(rays[0])
+        cuts = {face & f for f in facets} - {face}
+        out = []
+        for s in sorted(cuts, key=lambda s: (len(s), sorted(s))):
+            if v not in s and not any(s < t for t in cuts):
+                out.extend(simplex + [rays[0]] for simplex in pull(s, dim - 1))
+        return out
+
+    return pull(frozenset(range(len(gens))), len(gens[0]))
 
 
 def _parallelepiped_points(cols: list[Vector]) -> list[Vector]:

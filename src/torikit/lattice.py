@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 from math import gcd
+from operator import mul
 from typing import Hashable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ShapeError
@@ -35,7 +36,7 @@ def pairing(chi: Sequence[int], mu: Sequence[int]) -> int:
     """<chi, mu>: the integer with chi(mu(t)) = t^<chi,mu>."""
     if len(chi) != len(mu):
         raise ShapeError(f"pairing of vectors of lengths {len(chi)} and {len(mu)}")
-    return sum(a * b for a, b in zip(chi, mu))
+    return sum(map(mul, chi, mu))
 
 
 def primitive(v: Sequence[int]) -> Vector:
@@ -61,7 +62,7 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> Vector:
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def transpose(a: Sequence[Sequence[int]]) -> Matrix:
@@ -427,10 +428,6 @@ class QuotientLatticePresentation(NamedTuple):
     def same_class(self, v: Sequence[int], w: Sequence[int]) -> bool:
         return self.is_zero(tuple(a - b for a, b in zip(v, w)))
 
-    def projection_matrix(self) -> Matrix:
-        """The rank x n matrix of the free coordinates."""
-        return [list(self.u[i]) for i in self.free_rows]
-
     def lift_basis(self) -> list[Vector]:
         """Vectors in Z^n mapping to the free unit coordinates."""
         uinv = invert_unimodular([list(r) for r in self.u])
@@ -446,13 +443,7 @@ def quotient_by_sublattice(
     for g in generators:
         if len(g) != n:
             raise ShapeError(f"generator of length {len(g)} in Z^{n}")
-    k = len(generators)
-    if k == 0:
-        u = identity_matrix(n)
-        return QuotientLatticePresentation(
-            n, n, (), tuple(tuple(r) for r in u), tuple(range(n)), ()
-        )
-    g = [[generators[j][i] for j in range(k)] for i in range(n)]  # n x k
+    g = [[gen[i] for gen in generators] for i in range(n)]  # one column each
     u, d, _ = smith_normal_form(g)
     diag = diagonal_of(d)
     free_rows = tuple(

@@ -53,6 +53,9 @@ GOLDEN_CASES = {
     "p3_blowup__ring": ["ring", "fans/p3_blowup.fan", "--max-degree", "6"],
     "p3_blowup__certify": ["certify", "fans/p3_blowup.fan", "--max-degree", "6"],
     "p3_blowup__picard": ["picard", "fans/p3_blowup.fan"],
+    "p3__hilbert": ["hilbert", "fans/p3.fan"],
+    "p3_blowup__hilbert": ["hilbert", "fans/p3_blowup.fan"],
+    "square_cone__hilbert": ["hilbert", "fans/square_cone.fan"],
 }
 
 
@@ -199,6 +202,19 @@ def test_ring_to_a_high_degree_is_quick(capsys):
     for p in pieces[3:]:
         assert (p["rank"], p["torsion"], p["basis"]) == (0, [], []), p["degree"]
     assert elapsed < 5, elapsed
+
+
+def test_certify_to_a_huge_degree_is_quick():
+    # the face monomials are counted, not enumerated
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "torikit.cli", "certify", "fans/p2.fan", "--max-degree", "20000"],
+        capture_output=True, text=True, cwd=ROOT, timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.endswith("restriction injectivity: holds in all degrees <= 20000\n")
+    assert elapsed < 10, elapsed
 
 
 def test_ring_relations_on_an_unused_ray(tmp_path, capsys):

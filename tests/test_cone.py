@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -96,6 +97,11 @@ def test_extreme_rays_drop_redundant_generators():
     assert sorted(c.extreme_rays) == [(0, 1), (1, 0)]
 
 
+def test_extreme_rays_need_a_vertex():
+    with pytest.raises(PointednessError):
+        Cone([(1, 0), (-1, 0), (0, 1)], 2).extreme_rays
+
+
 def test_faces_of_quadrant():
     c = Cone([(1, 0), (0, 1)], 2)
     sets = [frozenset(s) for s in c.face_generator_sets]
@@ -172,6 +178,49 @@ def test_hilbert_basis_cone_over_square():
     c = Cone([(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)], 3)
     hb = sorted(c.hilbert_basis())
     assert hb == [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
+
+
+SQUARE = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+
+
+def test_hilbert_basis_builds_no_cone(monkeypatch):
+    cones = [Cone(SQUARE, 3), Cone([(1, 0, 0), (1, 2, 0)], 3), Cone([(1, 1, 2)], 3)]
+    built = []
+    init = Cone.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Cone, "__init__", counting_init)
+    for cone in cones:
+        cone.hilbert_basis()
+    assert built == []
+
+
+def test_square_cone_dual_is_triangulated_without_elimination(monkeypatch):
+    """The dual of the cone over a square is not simplicial, so its
+    triangulation recurses into facets; the facets come from the facet
+    normals, not from another double description or rank."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            frame, names = sys._getframe(1), set()
+            while frame:
+                names.add(frame.f_code.co_name)
+                frame = frame.f_back
+            calls.append((name, "_triangulate" in names))
+            return fn(*args)
+
+        return wrapper
+
+    cone = Cone(SQUARE, 3)
+    for name in ("double_description", "rank"):
+        monkeypatch.setattr(torikit.cone, name, counting(name, getattr(torikit.cone, name)))
+    hb = sorted(cone.hilbert_basis())
+    assert hb == sorted((a, b, 1) for a in (-1, 0, 1) for b in (-1, 0, 1))
+    assert sorted(calls) == [("double_description", False)] + [("rank", False)] * 3
 
 
 def test_hilbert_basis_elements_lie_in_dual():
