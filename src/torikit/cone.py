@@ -3,10 +3,10 @@
 A cone is stored by its primitive generators.  One Smith normal form
 U G V = D of the generator rows G, the cone's chart, gives sigma^perp,
 smoothness and the dual basis.  One double description gives the dual,
-and the faces and extreme rays are read off its rays.  Hilbert bases of
-dual monoids come from the dual's image modulo sigma^perp, triangulated
-on its facet normals, by enumerating the half-open fundamental
-parallelepiped of each simplicial piece.
+and the faces, the extreme rays and whether there is a vertex are read
+off its rays.  Hilbert bases of dual monoids come from the dual's image
+modulo sigma^perp, triangulated on its facet normals, by enumerating the
+half-open fundamental parallelepiped of each simplicial piece.
 """
 
 from __future__ import annotations
@@ -67,14 +67,13 @@ def double_description(
             if pairing(a, l) < 0:
                 l = tuple(-x for x in l)
             al = pairing(a, l)
-            lineality = [
-                primitive(tuple(al * x - pairing(a, v) * y for x, y in zip(v, l)))
-                for v in lineality
-            ]
-            rays = [
-                primitive(tuple(al * x - pairing(a, r) * y for x, y in zip(r, l)))
-                for r in rays
-            ]
+
+            def fold(v: Vector) -> Vector:
+                av = pairing(a, v)
+                return primitive(tuple(al * x - av * y for x, y in zip(v, l)))
+
+            lineality = [fold(v) for v in lineality]
+            rays = [fold(r) for r in rays]
             rays.append(l)
         else:
             values = [pairing(a, r) for r in rays]
@@ -187,8 +186,22 @@ class Cone:
         return tuple(sorted(self.generators[min(s)] for s in faces if len(s) == 1))
 
     @cached_property
+    def _facets(self) -> set[frozenset[int]]:
+        """The facets as index sets into ``generators``: for each facet
+        normal, the generators on its hyperplane."""
+        return _facet_sets(self.generators, self._dual.rays)
+
+    @cached_property
     def _vertex(self) -> bool:
-        return rank(self._dual.generators) == self.n
+        """sigma has a vertex iff no generator lies on every facet.
+
+        A generator g on every facet pairs to 0 with the dual's rays and
+        with sigma^perp, so with all of sigma^v, which puts g in
+        sigma & -sigma.  Conversely sigma & -sigma is a face of sigma, and
+        a face is generated by the generators it contains; so if it is not
+        0, some generator lies in it, and so on every facet.
+        """
+        return not frozenset(range(len(self.generators))).intersection(*self._facets)
 
     def has_vertex(self) -> bool:
         """True iff sigma meets -sigma only in 0; decided once per cone."""
@@ -234,13 +247,12 @@ class Cone:
         are read off as the generators tight on a facet normal.
         """
         full = frozenset(range(len(self.generators)))
-        facet_sets = _facet_sets(self.generators, self._dual.rays)
         faces = {full}
         frontier = {full}
         while frontier:
             nxt = set()
             for f in frontier:
-                for fs in facet_sets:
+                for fs in self._facets:
                     g = f & fs
                     if g not in faces:
                         faces.add(g)

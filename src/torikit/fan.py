@@ -2,8 +2,8 @@
 
 A fan is a face-closed collection of pointed rational cones whose pairwise
 intersections are common faces.  Cones are stored as sorted tuples of
-indices into the ray table; the input format lists only maximal cones and
-all faces are generated.
+indices into the ray table.  ``Fan`` closes the cones it is given under
+faces, so the input format lists only maximal cones.
 
 Every invariant needs a valid fan, and most need a smooth, or a smooth
 complete, one.  ``require_valid``, ``require_smooth`` and
@@ -11,8 +11,8 @@ complete, one.  ``require_valid``, ``require_smooth`` and
 verdict of ``validate_fan`` is computed once per fan and kept as
 ``Fan.validation``.  The lattice data of a cone (sigma^perp, smoothness,
 the dual basis, X(T_sigma)) are kept on its ``Cone``.  Validation and the
-smoothness verdict are decided on the cones that generate the fan, so a
-face needs no dual and no chart for them.
+smoothness verdict are decided on the maximal cones, so a face needs no
+dual and no chart for them.
 """
 
 from __future__ import annotations
@@ -29,7 +29,15 @@ RaySet = tuple[int, ...]
 
 
 class Fan:
-    """A fan in Y(T)_R, rank ``n``, with a primitive ray table."""
+    """A fan in Y(T)_R, rank ``n``, with a primitive ray table.
+
+    ``cones`` are index sets into ``rays``.  The fan holds them, the zero
+    cone, and all faces of each of them that has a vertex, so every cone
+    is a face of a given one and axiom (a) holds by construction.  The
+    maximal cones are the given cones whose ray set is not a proper subset
+    of another given cone's (the zero cone when none is given): every cone
+    lies on the rays of a given cone.
+    """
 
     def __init__(
         self,
@@ -37,49 +45,31 @@ class Fan:
         rays: Sequence[Sequence[int]],
         cones: Iterable[Iterable[int]],
         warnings: Optional[list[str]] = None,
-        *,
-        _built: Optional[dict[RaySet, Cone]] = None,
     ):
         self.n = n
         self.rays: tuple[Vector, ...] = tuple(primitive(r) for r in rays)
         if len(set(self.rays)) != len(self.rays):
             raise ValueError("duplicate ray in ray table")
-        seen = {tuple(sorted(c)) for c in cones}
-        seen.add(())
-        self._cone_objs: dict[RaySet, Cone] = {}
-        # ``_built`` holds cones ``from_maximal_cones`` has already built
-        # on the same rays, so that their duals are not computed again.
-        built = _built or {}
-        for c in seen:
+        given = {tuple(sorted(c)) for c in cones} - {()}
+        for c in given:
             if any(i < 0 or i >= len(self.rays) for i in c):
                 raise ValueError(f"ray index out of range in cone {c}")
-            self._cone_objs[c] = built.get(c) or Cone([self.rays[i] for i in c], n)
+        objs = {c: Cone([self.rays[i] for i in c], n) for c in given}
+        for c in given:
+            if objs[c].has_vertex():
+                for f in objs[c].face_generator_sets:
+                    face = _face_rayset(c, f)
+                    if face not in objs:
+                        objs[face] = Cone([self.rays[i] for i in face], n)
+        objs.setdefault((), Cone([], n))
+        self._cone_objs: dict[RaySet, Cone] = objs
         self.cones: tuple[RaySet, ...] = tuple(
-            sorted(seen, key=lambda c: (self._cone_objs[c].dim, c))
+            sorted(objs, key=lambda c: (objs[c].dim, c))
         )
+        self.maximal_cones: tuple[RaySet, ...] = tuple(
+            sorted(c for c in given if not any(set(c) < set(d) for d in given))
+        ) or ((),)
         self.warnings = warnings or []
-
-    @classmethod
-    def from_maximal_cones(
-        cls,
-        n: int,
-        rays: Sequence[Sequence[int]],
-        maxcones: Iterable[Iterable[int]],
-        warnings: Optional[list[str]] = None,
-    ) -> "Fan":
-        """Build a fan by closing the given maximal cones under faces."""
-        rays = [primitive(r) for r in rays]
-        cones: set[RaySet] = {()}
-        built: dict[RaySet, Cone] = {}
-        for mc in maxcones:
-            mc = tuple(sorted(mc))
-            cone = Cone([rays[i] for i in mc], n)
-            built[mc] = cone
-            cones.add(mc)
-            if cone.has_vertex():
-                for f in cone.face_generator_sets:
-                    cones.add(_face_rayset(mc, f))
-        return cls(n, rays, cones, warnings, _built=built)
 
     def cone(self, rayset: Iterable[int]) -> Cone:
         key = tuple(sorted(rayset))
@@ -89,16 +79,6 @@ class Fan:
 
     def dim_of(self, rayset: Iterable[int]) -> int:
         return self.cone(rayset).dim
-
-    @cached_property
-    def maximal_cones(self) -> tuple[RaySet, ...]:
-        out = []
-        for c in self.cones:
-            if not any(
-                set(c) < set(d) for d in self.cones if d != c
-            ):
-                out.append(c)
-        return tuple(sorted(out))
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -111,7 +91,7 @@ class Fan:
         Only the maximal cones are charted unless one of them is singular
         (see ``validate_fan``)."""
         smooth = lambda c: self.cone(c).is_smooth()
-        return next(_failing_cones(self, self.maximal_cones, smooth), None)
+        return next(_failing_cones(self, smooth), None)
 
     @cached_property
     def simplices(self) -> frozenset[frozenset[int]]:
@@ -137,27 +117,19 @@ class ValidationReport:
 
 
 def validate_fan(fan: Fan) -> ValidationReport:
-    """Check pointedness and the fan axioms (a) and (b).
+    """Check pointedness and the fan axiom (b): two cones meet in a face
+    of each.  The check stops after vertex violations.  Axiom (a), every
+    face of a cone is a cone of the fan, holds by construction of ``Fan``.
 
-    (a) Every face of a cone is a cone of the fan.  (b) Two cones meet in
-    a face of each.  The checks stop after vertex or axiom-(a) violations.
+    Pointedness is decided on the maximal cones; all cones are scanned, in
+    ``cones`` order, only to name every violation once a maximal cone
+    fails (``_failing_cones``).  Every cone lies on a subset of the rays
+    of a maximal cone, so it has a vertex if that cone has one; and it is
+    smooth if that cone is, since a subset of a part of a Z-basis is part
+    of a Z-basis.
 
-    Each property is decided on the cones that generate the fan; all
-    cones are scanned, in ``cones`` order, only to name every violation
-    once a generating cone fails (``_failing_cones``).  Every cone lies on
-    a subset of the rays of a maximal cone.  So it has a vertex if that
-    cone has one, and it is smooth if that cone is, since a subset of a
-    part of a Z-basis is part of a Z-basis: the maximal cones generate
-    both properties.  For (a), a face of a face of a maximal cone is a
-    face of the maximal cone, on those of its rays that it contains; so
-    the faces of a cone that is a face of a maximal cone are in the fan
-    once the maximal cone's are.  The other cones, on a subset of a
-    maximal cone's rays that is not a face of it, which a hand-built
-    ``Fan`` or a file listing one cone on a subset of another's rays can
-    hold, generate (a) together with the maximal cones.
-
-    Once every cone has a vertex and (a) holds, (b) needs checking only on
-    pairs of maximal cones.  Proof: let sigma and tau be maximal (possibly
+    Once every cone has a vertex, (b) needs checking only on pairs of
+    maximal cones.  Proof: let sigma and tau be maximal (possibly
     equal) and meet in rho, a face of both, and let sigma' <= sigma and
     tau' <= tau be faces.  Writing & for intersection,
 
@@ -175,7 +147,7 @@ def validate_fan(fan: Fan) -> ValidationReport:
     """
     report = ValidationReport()
     maximal = fan.maximal_cones
-    for c in _failing_cones(fan, maximal, lambda c: fan.cone(c).has_vertex()):
+    for c in _failing_cones(fan, lambda c: fan.cone(c).has_vertex()):
         report.add("vertex", f"cone {c} contains a line (no vertex)")
     if not report.valid:
         return report
@@ -183,18 +155,6 @@ def validate_fan(fan: Fan) -> ValidationReport:
     for d in maximal:
         faces = {_face_rayset(d, f) for f in fan.cone(d).face_generator_sets}
         nonfaces += [(c, d) for c in fan.cones if c not in faces and set(c) < set(d)]
-    cone_set = set(fan.cones)
-
-    def missing_faces(c: RaySet) -> list[RaySet]:
-        faces = (_face_rayset(c, f) for f in fan.cone(c).face_generator_sets)
-        return [f for f in faces if f not in cone_set]
-
-    generating = maximal + tuple(c for c, _ in nonfaces)
-    for c in _failing_cones(fan, generating, lambda c: not missing_faces(c)):
-        for face in missing_faces(c):
-            report.add("axiom-a", f"face {face} of cone {c} is missing from the fan")
-    if not report.valid:
-        return report
     for c1, c2 in list(itertools.combinations(maximal, 2)) + nonfaces:
         for c in _check_pair(fan, c1, c2):
             report.add(
@@ -204,13 +164,11 @@ def validate_fan(fan: Fan) -> ValidationReport:
     return report
 
 
-def _failing_cones(
-    fan: Fan, generating: Iterable[RaySet], holds: Callable[[RaySet], bool]
-) -> Iterator[RaySet]:
+def _failing_cones(fan: Fan, holds: Callable[[RaySet], bool]) -> Iterator[RaySet]:
     """The cones, in ``cones`` order, on which a property fails that every
-    cone inherits from the ``generating`` ones: none, without looking at
-    any other cone, when it holds on all of those."""
-    if all(holds(c) for c in generating):
+    cone inherits from the maximal ones: none, without looking at any
+    other cone, when it holds on all of those."""
+    if all(holds(c) for c in fan.maximal_cones):
         return
     yield from (c for c in fan.cones if not holds(c))
 
@@ -461,4 +419,4 @@ def parse_fan(text: str) -> Fan:
 
     if pos != len(lines):
         raise ParseError("trailing content after maxcones", lines[pos][0])
-    return Fan.from_maximal_cones(n, rays, maxcones, warnings)
+    return Fan(n, rays, maxcones, warnings)

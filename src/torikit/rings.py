@@ -227,12 +227,17 @@ def ordinary_cohomology(fan: Fan, max_degree: int) -> tuple[GradedPiece, ...]:
     together with v is a simplex, and every subset of a simplex is one.
     One ``lattice.cokernel`` call per degree gives the rank and torsion
     from the elementary divisors, and the basis from the dependent rows.
+    Past degree 2n the pieces are 0 with no torsion (Danilov-Jurkiewicz),
+    so no relation is built there.
     """
     require_smooth(fan)
     require_complete(fan)
     pieces = []
     lower: dict[Exponents, int] = {}
     for degree in range(0, max_degree + 1, 2):
+        if degree > 2 * fan.n:
+            pieces.append(GradedPiece(degree, 0, (), ()))
+            continue
         monos = face_monomials(fan, degree)
         relations = []
         for m in monos:

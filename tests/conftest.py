@@ -9,14 +9,22 @@ from torikit import parse_fan
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FAN_DIR = ROOT / "fans"
 
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 # The benchmark's stdlib fan generator (P^n, (P^1)^n, F_a, blow-ups,
 # weighted P(w), relabellings), shared by the tests as ``conftest.fans``.
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_fans", ROOT / "perfbench" / "fans.py"
-)
-fans = importlib.util.module_from_spec(_spec)
-sys.modules[_spec.name] = fans
-_spec.loader.exec_module(fans)
+fans = _load("perfbench_fans", ROOT / "perfbench" / "fans.py")
+# The benchmark's expected CLI outputs, computed without torikit, shared
+# as ``conftest.oracles``; they import the generator as ``fans``.
+sys.modules["fans"] = fans
+oracles = _load("perfbench_oracles", ROOT / "perfbench" / "oracles.py")
 
 SMOOTH_GOLDEN = ["affine_plane", "p1", "p2", "p1xp1", "hirzebruch1"]
 COMPLETE_GOLDEN = ["p1", "p2", "p1xp1", "hirzebruch1"]

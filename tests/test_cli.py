@@ -217,6 +217,37 @@ def test_certify_to_a_huge_degree_is_quick():
     assert elapsed < 10, elapsed
 
 
+def test_ring_to_a_huge_degree_is_quick():
+    # the pieces past degree 2n are zero and no relation is built for them
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "torikit.cli", "ring", "fans/p2.fan", "--max-degree", "2000"],
+        capture_output=True, text=True, cwd=ROOT, timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[1:4] == ["  H^0: rank 1", "  H^2: rank 1", "  H^4: rank 1"]
+    assert lines[4:] == [f"  H^{d}: rank 0" for d in range(6, 2001, 2)]
+    assert elapsed < 10, elapsed
+
+
+def test_validating_a_ray_of_rank_600_is_quick(tmp_path):
+    # the double description folds each vector into a lineality vector
+    # with one pairing, not one per coordinate
+    f = tmp_path / "ray.fan"
+    f.write_text("rank 600\nrays 1\n" + " ".join(["1"] + ["0"] * 599) + "\nmaxcones 1\n0\n")
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "torikit.cli", "validate", str(f)],
+        capture_output=True, text=True, cwd=ROOT, timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "valid, smooth, not complete\n"
+    assert elapsed < 3, elapsed
+
+
 def test_ring_relations_on_an_unused_ray(tmp_path, capsys):
     f = tmp_path / "p2_unused_ray.fan"
     f.write_text(P2_UNUSED_RAY)

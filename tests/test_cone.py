@@ -7,7 +7,7 @@ import pytest
 import torikit.cone
 from torikit.cone import Cone, double_description
 from torikit.errors import PointednessError
-from torikit.lattice import pairing
+from torikit.lattice import pairing, rank
 
 
 def brute_force_dual_check(cone, samples):
@@ -130,6 +130,24 @@ def test_vertex_verdict_is_ranked_once(monkeypatch, gens):
     assert calls == []
 
 
+def test_vertex_verdict_reads_the_facets(monkeypatch):
+    """sigma has a vertex iff its dual spans X(T)_R, that is iff the dual's
+    generators have rank n; the verdict is read off the facet sets, with
+    no rank once the dual is known."""
+    rng = random.Random(0)
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        gens = [v for v in box(n, 2) if any(v) and rng.random() < 4 / 5**n]
+        cone = Cone(gens, n)
+        spans = rank(cone.dual_cone().generators) == n
+        with monkeypatch.context() as m:
+            m.setattr(torikit.cone, "rank", None)
+            assert cone.has_vertex() == spans, gens
+        verdicts.add(spans)
+    assert verdicts == {True, False}
+
+
 def test_contains():
     c = Cone([(0, 1), (2, -1)], 2)
     assert c.contains((1, 0))
@@ -220,7 +238,7 @@ def test_square_cone_dual_is_triangulated_without_elimination(monkeypatch):
         monkeypatch.setattr(torikit.cone, name, counting(name, getattr(torikit.cone, name)))
     hb = sorted(cone.hilbert_basis())
     assert hb == sorted((a, b, 1) for a in (-1, 0, 1) for b in (-1, 0, 1))
-    assert sorted(calls) == [("double_description", False)] + [("rank", False)] * 3
+    assert sorted(calls) == [("double_description", False)] + [("rank", False)] * 2
 
 
 def test_hilbert_basis_elements_lie_in_dual():

@@ -87,12 +87,26 @@ def test_vertex_free_cone_rejected():
     assert any("vertex" in m for _, m in report.violations)
 
 
-def test_face_closure_violation_detected():
-    # build a raw fan missing the origin's ray faces
-    fan = Fan(2, ((1, 0), (0, 1)), (((0, 1)),))
-    report = validate_fan(fan)
-    assert not report.valid
-    assert any(k == "axiom-a" for k, _ in report.violations)
+def test_fan_closes_given_cones_under_faces():
+    # the faces of the given cones need not be listed
+    quadrant = Fan(2, ((1, 0), (0, 1)), [(0, 1)])
+    assert quadrant.cones == ((), (0,), (1,), (0, 1))
+    p2 = Fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
+    assert p2.cones == ((), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2))
+    assert p2.maximal_cones == ((0, 1), (0, 2), (1, 2))
+    # (2,) is a face of the listed faces (0, 2) and (1, 2), not listed itself
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    octant = Fan(3, units, [(), (0,), (1,), (0, 1), (0, 2), (1, 2), (0, 1, 2)])
+    assert len(octant.cones) == 8 and (2,) in octant.cones
+    assert octant.maximal_cones == ((0, 1, 2),)
+    for fan in (quadrant, p2, octant):
+        assert validate_fan(fan).valid
+    # a cone without a vertex gets no faces
+    line = Fan(2, ((1, 0), (-1, 0)), [(0, 1)])
+    assert line.cones == ((), (0, 1))
+    assert not validate_fan(line).valid
+    # with no cone given, the zero cone is the maximal cone
+    assert Fan(2, (), [()]).maximal_cones == Fan(2, (), []).maximal_cones == ((),)
 
 
 def test_completeness():
@@ -207,8 +221,3 @@ def test_simplicial_complex_unused_ray_is_a_nonface():
     assert not sc.is_simplex((3,))
     assert sc.minimal_nonfaces == ((0, 1, 2), (3,))
 
-
-def test_from_maximal_cones_closure():
-    fan = Fan.from_maximal_cones(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
-    assert len(fan.cones) == 7
-    assert validate_fan(fan).valid

@@ -186,7 +186,7 @@ def test_incomplete_smooth_fans_against_the_ray_oracle(name):
     those rays (Cox, Little and Schenck, Ch. 4); the order of the torsion
     is the gcd of the r x r minors of their matrix."""
     rays, maxcones = SMALL_INCOMPLETE[name]
-    fan = Fan.from_maximal_cones(2, rays, maxcones)
+    fan = Fan(2, rays, maxcones)
     used = [rays[v] for v in sorted({v for c in maxcones for v in c})]
     r = rank([list(mu) for mu in used])
     minors = [
@@ -289,7 +289,7 @@ for data in REFERENCE_FAMILIES:
     for seed in range(4):
         REFERENCE_CASES[f"{data.name} #{seed}"] = partial(relabelled, data, seed)
 for name, (rays, maxcones) in SMALL_INCOMPLETE.items():
-    REFERENCE_CASES[name] = partial(Fan.from_maximal_cones, 2, rays, maxcones)
+    REFERENCE_CASES[name] = partial(Fan, 2, rays, maxcones)
 
 
 @pytest.mark.parametrize("name", REFERENCE_CASES)

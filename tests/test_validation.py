@@ -116,7 +116,7 @@ def interior_ray(rays, cone):
 
 def build(n, rays, maxcones) -> Fan:
     try:
-        return Fan.from_maximal_cones(n, rays, maxcones)
+        return Fan(n, rays, maxcones)
     except ValueError:  # the perturbation made two rays equal
         assume(False)
 
@@ -137,7 +137,7 @@ SETTINGS = settings(
 @SETTINGS
 @given(labelled_fans())
 def test_generated_fans_are_valid_under_both_checks(data):
-    fan = Fan.from_maximal_cones(data.n, data.rays, data.maxcones)
+    fan = Fan(data.n, data.rays, data.maxcones)
     assert assert_agree(fan).valid
 
 
@@ -179,18 +179,16 @@ UNIT_RAYS_3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         (Fan(2, QUADRANT_RAYS, [(), (0,), (1,), (2,), (0, 2), (0, 1, 2)]), False, None),
         # (0, 1) spans the same quadrant as (0, 1, 2) on fewer rays.
         (Fan(2, QUADRANT_RAYS, [(), (0,), (1,), (0, 1), (0, 1, 2)]), True, None),
-        (Fan(2, ((1, 0), (0, 1)), [(0, 1)]), False, None),  # faces missing
+        # The faces are not listed; ``Fan`` adds them.
+        (Fan(2, ((1, 0), (0, 1)), [(0, 1)]), True, []),
         (load_fan("overlap_invalid"), False, None),
         (load_fan("a1_singular"), True, None),
-        # The ray (2,) is missing: a face of the faces (0, 2) and (1, 2) as
-        # well as of the maximal cone, and each of them is named.
+        # The ray (2,) is not listed, a face of the faces (0, 2) and (1, 2)
+        # as well as of the maximal cone; ``Fan`` adds it.
         (
             Fan(3, UNIT_RAYS_3, [(), (0,), (1,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]),
-            False,
-            [
-                ("axiom-a", f"face (2,) of cone {c} is missing from the fan")
-                for c in ((0, 2), (1, 2), (0, 1, 2))
-            ],
+            True,
+            [],
         ),
     ],
     ids=[
@@ -223,7 +221,7 @@ def test_overlap_fan_reports_only_its_maximal_pair():
     ids=["P^5", "(P^1)^4"],
 )
 def test_axiom_b_is_checked_once_per_maximal_pair(monkeypatch, data, pairs):
-    fan = Fan.from_maximal_cones(data.n, data.rays, data.maxcones)
+    fan = Fan(data.n, data.rays, data.maxcones)
     assert len(fan.maximal_cones) * (len(fan.maximal_cones) - 1) // 2 == pairs
     calls = []
     check_pair = torikit.fan._check_pair
