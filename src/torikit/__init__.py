@@ -1,6 +1,6 @@
 """torikit: exact invariants of toric varieties from rational fans."""
 
-from .cone import Cone, DualConeDescription, double_description
+from .cone import Cone, double_description
 from .errors import (
     CompletenessError,
     IncompatibleFamilyError,

@@ -35,6 +35,10 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 1
 EXIT_INPUT = 2
 
+# Every subcommand that reads --max-degree emits one entry per degree, so
+# the degree is bounded like any other input size.
+MAX_DEGREE = 100_000
+
 Result = tuple[dict, list[str], int]
 
 
@@ -273,6 +277,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.max_degree < 0 or args.max_degree % 2 != 0:
         print("error: --max-degree must be even and >= 0", file=sys.stderr)
+        return EXIT_INPUT
+    if args.max_degree > MAX_DEGREE:
+        print(f"error: --max-degree must be at most {MAX_DEGREE}", file=sys.stderr)
         return EXIT_INPUT
     try:
         with open(args.fanfile, "r", encoding="utf-8") as fh:

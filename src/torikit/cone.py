@@ -2,11 +2,14 @@
 
 A cone is stored by its primitive generators.  One Smith normal form
 U G V = D of the generator rows G, the cone's chart, gives sigma^perp,
-smoothness and the dual basis.  One double description gives the dual,
-and the faces, the extreme rays and whether there is a vertex are read
-off its rays.  Hilbert bases of dual monoids come from the dual's image
-modulo sigma^perp, triangulated on its facet normals, by enumerating the
-half-open fundamental parallelepiped of each simplicial piece.
+smoothness and the dual basis.  One double description gives the facet
+normals, and the faces, the extreme rays and whether there is a vertex
+are read off them; with sigma^perp they generate the dual.  The double
+description can also cut a pointed cone it is given by more half-spaces,
+which is how a fan intersects two of its cones.  Hilbert bases of dual
+monoids come from the dual's image modulo sigma^perp, triangulated on its
+facet normals, by enumerating the half-open fundamental parallelepiped of
+each simplicial piece.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from math import prod
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import PointednessError, ToricError
 from .lattice import (
@@ -39,21 +42,27 @@ MAX_PARALLELEPIPED_POINTS = 100_000
 
 
 def double_description(
-    inequalities: Sequence[Vector], n: int
+    inequalities: Sequence[Vector], n: int, within: Optional[Cone] = None
 ) -> tuple[list[Vector], list[Vector]]:
-    """Extreme rays and lineality basis of {x : a.x >= 0 for all a}.
+    """Extreme rays and lineality basis of {x : a.x >= 0 for all a}, cut
+    from all of R^n, or from the pointed cone ``within`` when one is given.
 
     Inequalities are inserted one at a time; while a lineality vector hits
     the new hyperplane the whole description is folded into it, otherwise
     adjacent (+,-) ray pairs are combined.  Adjacency is decided by the
-    rank of the constraints tight at both rays.
+    rank of the constraints tight at both rays.  A pointed cone is already
+    such a state: its extreme rays, no lineality, and its dual's generators
+    as the processed inequalities (Fukuda and Prodon, "Double description
+    method revisited", 1996), so cutting it inserts only ``inequalities``.
     """
-    lineality: list[Vector] = [
-        tuple(int(i == j) for i in range(n)) for j in range(n)
-    ]
-    rays: list[Vector] = []
-    processed: list[Vector] = []
-    seen = set()
+    if within is None:
+        lineality = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        rays: list[Vector] = []
+        processed: list[Vector] = []
+    else:
+        lineality, rays = [], list(within.extreme_rays)
+        processed = list(within.dual_generators)
+    seen = set(processed)
     for a in inequalities:
         a = tuple(a)
         if not any(a):
@@ -98,26 +107,6 @@ def double_description(
         processed.append(a)
         rays = list(dict.fromkeys(rays))
     return sorted(set(rays)), lineality
-
-
-class DualConeDescription(NamedTuple):
-    """Generators of the dual cone sigma^v inside X(T).
-
-    ``rays`` are the extreme rays modulo lineality, ``lineality`` is a
-    lattice basis of sigma^perp (both signs of each basis vector belong to
-    the dual cone); ``generators`` is the combined irredundant list.
-    """
-
-    rays: tuple[Vector, ...]
-    lineality: tuple[Vector, ...]
-
-    @property
-    def generators(self) -> tuple[Vector, ...]:
-        out = list(self.rays)
-        for b in self.lineality:
-            out.append(b)
-            out.append(tuple(-x for x in b))
-        return tuple(out)
 
 
 class Cone:
@@ -166,16 +155,18 @@ class Cone:
         return tuple(tuple(row[j] for row in v) for j in range(r, self.n))
 
     @cached_property
-    def _dual(self) -> DualConeDescription:
-        rays, _ = double_description(self.generators, self.n)
-        return DualConeDescription(tuple(rays), self.perp)
-
-    def dual_cone(self) -> DualConeDescription:
-        return self._dual
-
-    @property
     def facet_normals(self) -> tuple[Vector, ...]:
-        return self._dual.rays
+        """The extreme rays of the dual sigma^v modulo its lineality
+        sigma^perp; for a pointed cone, its facet normals."""
+        return tuple(double_description(self.generators, self.n)[0])
+
+    @cached_property
+    def dual_generators(self) -> tuple[Vector, ...]:
+        """Generators of sigma^v: the facet normals, then both signs of
+        each basis vector of sigma^perp."""
+        return self.facet_normals + tuple(
+            x for b in self.perp for x in (b, tuple(-y for y in b))
+        )
 
     @cached_property
     def extreme_rays(self) -> tuple[Vector, ...]:
@@ -189,7 +180,7 @@ class Cone:
     def _facets(self) -> set[frozenset[int]]:
         """The facets as index sets into ``generators``: for each facet
         normal, the generators on its hyperplane."""
-        return _facet_sets(self.generators, self._dual.rays)
+        return _facet_sets(self.generators, self.facet_normals)
 
     @cached_property
     def _vertex(self) -> bool:
@@ -208,9 +199,7 @@ class Cone:
         return self._vertex
 
     def contains(self, v: Sequence[int]) -> bool:
-        return all(pairing(g, v) >= 0 for g in self._dual.rays) and all(
-            pairing(b, v) == 0 for b in self._dual.lineality
-        )
+        return all(pairing(g, v) >= 0 for g in self.dual_generators)
 
     def same_cone(self, other: "Cone") -> bool:
         return all(other.contains(g) for g in self.generators) and all(
@@ -275,16 +264,15 @@ class Cone:
         """
         if not self.has_vertex():
             raise PointednessError("cone without vertex has no Hilbert basis")
-        dual = self._dual
         q = self.stabilizer_characters
         lifts = q.lift_basis()
         sub = _hilbert_pointed(
-            [primitive(q.free_part(r)) for r in dual.rays],
+            [primitive(q.free_part(r)) for r in self.facet_normals],
             [primitive(mat_vec(lifts, g)) for g in self.extreme_rays],
             q.rank,
         )
         # both signs of each lineality basis vector, which follow the rays
-        out = list(dual.generators[len(dual.rays):])
+        out = list(self.dual_generators[len(self.facet_normals):])
         lift_matrix = transpose(lifts)
         for h in sub:
             x = mat_vec(lift_matrix, h)

@@ -181,17 +181,23 @@ def _face_rayset(c: RaySet, face: Iterable[int]) -> RaySet:
 def _check_pair(fan: Fan, c1: RaySet, c2: RaySet) -> list[RaySet]:
     """Those of ``c1`` and ``c2`` of which their intersection is not a face.
 
-    The intersection's dual is generated by both duals together, so one
-    double description gives the intersection's generators.  The smallest
-    face of a cone that contains the intersection is cut out by the facet
-    normals vanishing on those generators.  It contains the intersection
-    and lies in the cone, so it is the intersection, which is then a face,
-    iff it lies in the other cone.
+    The intersection is ``c1`` cut by the half-spaces of ``c2``'s dual
+    generators, so one double description seeded with ``c1`` gives its
+    rays.  ``c1`` is pointed: validation checks pairs only once every
+    cone has a vertex, and a non-face ``c1`` lies on the rays of a pointed
+    maximal ``c2``.  So the intersection has no lineality.  Cutting from
+    all of R^n by ``c1``'s dual generators first would reach the same
+    state: ``c1``'s extreme rays, no lineality, and those generators
+    processed, with the same tight sets at every ray.  The insertions of
+    ``c2``'s generators then run as they would after those.
+
+    The smallest face of a cone that contains the intersection is cut out
+    by the facet normals vanishing on its rays.  It contains the
+    intersection and lies in the cone, so it is the intersection, which
+    is then a face, iff it lies in the other cone.
     """
     k1, k2 = fan.cone(c1), fan.cone(c2)
-    ineqs = list(k1.dual_cone().generators) + list(k2.dual_cone().generators)
-    rays, lin = double_description(ineqs, fan.n)
-    inter = rays + lin
+    inter, _ = double_description(k2.dual_generators, fan.n, within=k1)
 
     def smallest_face_lies_in(k: Cone, other: Cone) -> bool:
         normals = [a for a in k.facet_normals if not any(pairing(a, g) for g in inter)]

@@ -19,36 +19,6 @@ from .fan import Fan, RaySet, require_complete, require_smooth
 from .lattice import Vector, pairing
 
 
-def poly_add(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def one_minus_t2_pow(k: int) -> list[int]:
-    """(1 - t^2)^k as a coefficient list in t."""
-    out = [1]
-    for _ in range(k):
-        out = poly_mul(out, [1, 0, -1])
-    return out
-
-
 class PoincareSeries(NamedTuple):
     """numerator(t) / (1 - t^2)^denominator_exponent."""
 
@@ -140,14 +110,23 @@ def certify_perfection(strat: Stratification) -> PerfectionReport:
 
 
 def equivariant_poincare_series(fan: Fan) -> PoincareSeries:
-    """Sum over cones of t^(2 dim) (1-t^2)^(n-dim), over (1-t^2)^n."""
+    """Sum over cones of t^(2 dim) (1-t^2)^(n-dim), over (1-t^2)^n.
+
+    With f_d cones of dimension d, the coefficient of t^(2i) in the
+    numerator is sum_d f_d (-1)^(i-d) C(n-d, i-d); trailing zeros are
+    dropped.
+    """
     require_smooth(fan)
-    num = [0]
+    n = fan.n
+    f = [0] * (n + 1)
     for c in fan.cones:
-        d = fan.dim_of(c)
-        term = poly_mul([0] * (2 * d) + [1], one_minus_t2_pow(fan.n - d))
-        num = poly_add(num, term)
-    return PoincareSeries(tuple(num), fan.n)
+        f[fan.dim_of(c)] += 1
+    num = [0] * (2 * n + 1)
+    for i in range(n + 1):
+        num[2 * i] = sum(f[d] * (-1) ** (i - d) * comb(n - d, i - d) for d in range(i + 1))
+    while len(num) > 1 and num[-1] == 0:
+        num.pop()
+    return PoincareSeries(tuple(num), n)
 
 
 def ordinary_poincare_polynomial(fan: Fan) -> list[int]:

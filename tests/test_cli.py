@@ -133,6 +133,12 @@ def test_bad_max_degree_exits_2():
     assert result.returncode == 2
     result = run_cli(["betti", "fans/p2.fan", "--max-degree", "-2"])
     assert result.returncode == 2
+    start = time.perf_counter()
+    result = run_cli(["betti", "fans/p2.fan", "--max-degree", "100000000"])
+    assert time.perf_counter() - start < 2
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.endswith("at most 100000\n")
 
 
 def test_betti_text_output():

@@ -3,6 +3,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import torikit.cone
 from torikit.cone import Cone, double_description
@@ -13,16 +15,16 @@ from torikit.lattice import pairing, rank
 def brute_force_dual_check(cone, samples):
     """Every sample point of the dual description must pair >= 0 with the
     generators, and vice versa."""
-    for chi in cone.dual_cone().rays:
+    for chi in cone.facet_normals:
         for g in cone.generators:
             assert pairing(chi, g) >= 0
-    for chi in cone.dual_cone().lineality:
+    for chi in cone.perp:
         for g in cone.generators:
             assert pairing(chi, g) == 0
     for x in samples:
         in_primal = cone.contains(x)
         in_double_dual = all(
-            pairing(chi, x) >= 0 for chi in cone.dual_cone().generators
+            pairing(chi, x) >= 0 for chi in cone.dual_generators
         )
         assert in_primal == in_double_dual
 
@@ -33,27 +35,25 @@ def box(n, radius):
 
 def test_dual_of_quadrant():
     c = Cone([(1, 0), (0, 1)], 2)
-    assert sorted(c.dual_cone().rays) == [(0, 1), (1, 0)]
-    assert c.dual_cone().lineality == ()
+    assert sorted(c.facet_normals) == [(0, 1), (1, 0)]
+    assert c.perp == ()
 
 
 def test_dual_of_a1_cone():
     c = Cone([(0, 1), (2, -1)], 2)
-    assert sorted(c.dual_cone().rays) == [(1, 0), (1, 2)]
+    assert sorted(c.facet_normals) == [(1, 0), (1, 2)]
 
 
 def test_dual_of_ray_has_lineality():
     c = Cone([(1, 0)], 2)
-    dual = c.dual_cone()
-    assert len(dual.lineality) == 1
-    assert dual.lineality[0][0] == 0
+    assert len(c.perp) == 1
+    assert c.perp[0][0] == 0
 
 
 def test_dual_of_halfplane():
     c = Cone([(1, 0), (-1, 0), (0, 1)], 2)
-    dual = c.dual_cone()
-    assert dual.rays == ((0, 1),)
-    assert dual.lineality == ()
+    assert c.facet_normals == ((0, 1),)
+    assert c.perp == ()
     assert not c.has_vertex()
 
 
@@ -84,6 +84,23 @@ def test_duality_involution_3d():
         if not gens:
             continue
         brute_force_dual_check(Cone(gens, 3), pts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cutting_a_cone_matches_cutting_the_whole_space(data):
+    """Cutting a pointed cone sigma by half-spaces gives the rays of
+    cutting R^n by sigma's dual generators and then those half-spaces.  A
+    lower-dimensional sigma puts both signs of sigma^perp among the
+    processed inequalities."""
+    n = data.draw(st.integers(1, 4))
+    vectors = st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=n + 1)
+    sigma = Cone([g for g in data.draw(vectors) if any(g)], n)
+    assume(sigma.has_vertex())
+    ineqs = data.draw(vectors)
+    rays, lineality = double_description(ineqs, n, within=sigma)
+    assert lineality == []
+    assert set(rays) == set(double_description(sigma.dual_generators + tuple(ineqs), n)[0])
 
 
 def test_double_description_full_space():
@@ -140,7 +157,7 @@ def test_vertex_verdict_reads_the_facets(monkeypatch):
         n = rng.randint(1, 4)
         gens = [v for v in box(n, 2) if any(v) and rng.random() < 4 / 5**n]
         cone = Cone(gens, n)
-        spans = rank(cone.dual_cone().generators) == n
+        spans = rank(cone.dual_generators) == n
         with monkeypatch.context() as m:
             m.setattr(torikit.cone, "rank", None)
             assert cone.has_vertex() == spans, gens

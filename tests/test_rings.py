@@ -307,8 +307,8 @@ ELIMINATIONS = ("restriction_map", "rank", "echelon", "smith_normal_form")
 
 def test_injectivity_builds_no_restriction_matrix(monkeypatch):
     """On P^3 at degree 10 the entries are a count of face monomials: no
-    restriction map, no elimination outside the smoothness check and no
-    Smith normal form."""
+    restriction map, no elimination outside the smoothness check, and no
+    Smith normal form but the chart of each maximal cone."""
     fan = parse_fan(fans.projective_space(3).text())
     calls = Counter()
 
@@ -333,9 +333,10 @@ def test_injectivity_builds_no_restriction_matrix(monkeypatch):
         face_monomial_count(fan, d) for d in range(0, 11, 2)
     ]
     assert all(e.injective for e in entries)
-    # the parse charted the maximal cones, and the smoothness verdict is
-    # read off those charts: no Smith normal form at all
-    assert not any(name == "smith_normal_form" for name, _ in calls), calls
+    # the smoothness gate charts the maximal cones, as validation reads
+    # their sigma^perp and the smoothness verdict their charts: one Smith
+    # normal form each
+    assert calls["smith_normal_form", "require_smooth"] == len(fan.maximal_cones) == 4
     assert {caller for _, caller in calls} == {"require_smooth"}, calls
 
 
@@ -412,7 +413,8 @@ def test_ordinary_cohomology_vanishes_past_twice_the_dimension(name):
 def test_ordinary_cohomology_pivots_only_on_units(monkeypatch):
     """On P^3 at degree 10 every pivot of the relations is a unit, so
     ``ordinary_cohomology`` runs no dense elimination outside the
-    smoothness check, and no Smith normal form."""
+    smoothness check, and no Smith normal form but the chart of each
+    maximal cone."""
     fan = parse_fan(fans.projective_space(3).text())
     calls = Counter()
 
@@ -434,9 +436,10 @@ def test_ordinary_cohomology_pivots_only_on_units(monkeypatch):
                     monkeypatch.setattr(module, name, partial(counting, name, fn))
     pieces = ordinary_cohomology(fan, 10)
     assert [p.rank for p in pieces] == [1, 1, 1, 1, 0, 0]
-    # the parse charted the maximal cones, and the smoothness verdict is
-    # read off those charts: no Smith normal form at all
-    assert not any(name == "smith_normal_form" for name, _ in calls), calls
+    # the smoothness gate charts the maximal cones, as validation reads
+    # their sigma^perp and the smoothness verdict their charts: one Smith
+    # normal form each
+    assert calls["smith_normal_form", "require_smooth"] == len(fan.maximal_cones) == 4
     assert {caller for _, caller in calls} == {"require_smooth"}, calls
 
 

@@ -16,9 +16,25 @@ from torikit import (
     stratify,
 )
 from torikit.lattice import pairing
-from torikit.stratification import PoincareSeries, poly_mul, one_minus_t2_pow
+from torikit.stratification import PoincareSeries
 
 from conftest import COMPLETE_GOLDEN, SMOOTH_GOLDEN, load_fan
+
+
+def poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def one_minus_t2_pow(k: int) -> list[int]:
+    """(1 - t^2)^k as a coefficient list in t."""
+    out = [1]
+    for _ in range(k):
+        out = poly_mul(out, [1, 0, -1])
+    return out
 
 
 def test_poincare_series_geometric():

@@ -58,9 +58,7 @@ def exhaustive_validate(fan: Fan) -> ValidationReport:
     for i, c1 in enumerate(fan.cones):
         for c2 in fan.cones[i + 1 :]:
             k1, k2 = fan.cone(c1), fan.cone(c2)
-            ineqs = list(k1.dual_cone().generators) + list(
-                k2.dual_cone().generators
-            )
+            ineqs = k1.dual_generators + k2.dual_generators
             rays, lin = double_description(ineqs, fan.n)
             inter = Cone(
                 list(rays) + list(lin) + [tuple(-x for x in l) for l in lin],
@@ -167,6 +165,41 @@ def test_ray_moved_into_another_cone_is_invalid(data, draw):
     assert not assert_agree(fan).valid
 
 
+@SETTINGS
+@given(labelled_fans(), st.data())
+def test_incomplete_subfans_agree(data, draw):
+    keep = draw.draw(st.lists(st.sampled_from(data.maxcones), min_size=1, unique=True))
+    assert assert_agree(Fan(data.n, data.rays, keep)).valid
+
+
+@SETTINGS
+@given(labelled_fans(), st.data())
+def test_maximal_cones_replaced_by_a_facet_agree(data, draw):
+    """Some maximal cones give way to one of their facets, so that there
+    are lower-dimensional maximal cones; with an extra cone overlapping a
+    kept one, such a fan is invalid."""
+    full = Fan(data.n, data.rays, data.maxcones)
+    cones = []
+    for c in full.maximal_cones:
+        if draw.draw(st.booleans()):
+            facets = [
+                f
+                for f in full.cones
+                if set(f) < set(c) and full.dim_of(f) == full.dim_of(c) - 1
+            ]
+            c = draw.draw(st.sampled_from(facets))
+        cones.append(c)
+    rays = list(data.rays)
+    wide = [c for c in cones if len(c) > 1]
+    overlap = bool(wide) and draw.draw(st.booleans())
+    if overlap:
+        sigma = draw.draw(st.sampled_from(wide))
+        dropped = draw.draw(st.sampled_from(sigma))
+        rays.append(interior_ray(data.rays, sigma))
+        cones.append(tuple(i for i in sigma if i != dropped) + (len(rays) - 1,))
+    assert assert_agree(build(data.n, rays, cones)).valid == (not overlap)
+
+
 QUADRANT_RAYS = ((1, 0), (0, 1), (1, 1))
 UNIT_RAYS_3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -246,13 +279,13 @@ def test_parse_and_validate_make_one_double_description_per_cone_and_pair(
 ):
     """One dual per maximal cone, built once, and one intersection per
     maximal pair: 5 + 10 on P^4 and 8 + 28 on (P^1)^3.  No face needs a
-    dual."""
+    dual, and each intersection cuts the first cone of its pair."""
     calls = []
     dd = torikit.cone.double_description
 
-    def counting(*args):
-        calls.append(args)
-        return dd(*args)
+    def counting(*args, **kwargs):
+        calls.append((tuple(args[0]), kwargs.get("within")))
+        return dd(*args, **kwargs)
 
     monkeypatch.setattr(torikit.cone, "double_description", counting)
     monkeypatch.setattr(torikit.fan, "double_description", counting)
@@ -260,6 +293,10 @@ def test_parse_and_validate_make_one_double_description_per_cone_and_pair(
     assert validate_fan(fan).valid
     pairs = len(fan.maximal_cones) * (len(fan.maximal_cones) - 1) // 2
     assert len(calls) == len(fan.maximal_cones) + pairs == count
+    maximal = [fan.cone(c) for c in fan.maximal_cones]
+    duals = sorted(ineqs for ineqs, within in calls if within is None)
+    assert duals == sorted(k.generators for k in maximal)
+    assert sum(within in maximal for _, within in calls) == pairs
 
 
 @pytest.mark.parametrize(
@@ -275,13 +312,13 @@ def test_faces_get_no_dual_and_no_chart_from_the_gates(monkeypatch, data):
     def cached(name):
         return {c for c in fan.cones if name in vars(fan.cone(c))}
 
-    assert cached("_chart") == cached("_dual") == set(fan.maximal_cones)
+    assert cached("_chart") == cached("facet_normals") == set(fan.maximal_cones)
     calls = []
     monkeypatch.setattr(torikit.cone, "double_description", calls.append)
     monkeypatch.setattr(torikit.fan, "double_description", calls.append)
     assert len(orbit_table(fan)) == len(fan.cones)
     assert calls == []
-    assert cached("_dual") == set(fan.maximal_cones)
+    assert cached("facet_normals") == set(fan.maximal_cones)
 
 
 GATED = {
