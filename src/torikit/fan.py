@@ -18,6 +18,7 @@ dual and no chart for them.
 from __future__ import annotations
 
 import itertools
+import sys
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -301,35 +302,30 @@ class SimplicialComplex(NamedTuple):
     simplices: frozenset[frozenset[int]]
     minimal_nonfaces: tuple[RaySet, ...]
 
-    def is_simplex(self, s: Iterable[int]) -> bool:
-        return frozenset(s) in self.simplices
-
 
 def simplicial_complex(fan: Fan) -> SimplicialComplex:
     """Vertices are the rays; a subset is a simplex iff it is the ray set
-    of some cone.  Minimal non-faces are found by growing simplices."""
+    of some cone.
+
+    Every facet of a minimal non-face t is a simplex, so t is a simplex s
+    plus one vertex v; the zero cone is a simplex, which covers the
+    single-vertex non-faces.  So one pass grows every simplex by one
+    vertex and keeps the grown sets that are not simplices but whose
+    facets all are (t - {v} = s is one of them)."""
     simps = fan.simplices
     k = len(fan.rays)
-    nonfaces = []
-    for v in range(k):
-        if frozenset([v]) not in simps:
-            nonfaces.append((v,))
-    for size in range(2, k + 1):
-        smaller = [s for s in simps if len(s) == size - 1]
-        cands = set()
-        for s in smaller:
-            for v in range(k):
-                if v not in s:
-                    cands.add(s | {v})
-        for t in sorted(cands, key=sorted):
-            if t in simps:
+    nonfaces = set()
+    for s in simps:
+        for v in range(k):
+            if v in s:
                 continue
-            if all(t - {x} in simps for x in t):
-                nonfaces.append(tuple(sorted(t)))
+            t = s | {v}
+            if t not in simps and all(t - {x} in simps for x in s):
+                nonfaces.add(t)
     return SimplicialComplex(
         num_vertices=k,
         simplices=simps,
-        minimal_nonfaces=tuple(sorted(nonfaces)),
+        minimal_nonfaces=tuple(sorted(tuple(sorted(t)) for t in nonfaces)),
     )
 
 
@@ -366,10 +362,7 @@ def parse_fan(text: str) -> Fan:
         lineno, toks = take(expected)
         if len(toks) != 2 or toks[0] != expected:
             raise ParseError(f"expected '{expected} <count>'", lineno)
-        try:
-            value = int(toks[1])
-        except ValueError:
-            raise ParseError(f"'{toks[1]}' is not an integer", lineno)
+        [value] = _integers(toks[1:], f"'{toks[1]}' is not an integer", lineno)
         if value < 0:
             raise ParseError(f"negative count for '{expected}'", lineno)
         return value
@@ -377,10 +370,7 @@ def parse_fan(text: str) -> Fan:
     lineno, toks = take("rank")
     if len(toks) != 2 or toks[0] != "rank":
         raise ParseError("expected 'rank <n>'", lineno)
-    try:
-        n = int(toks[1])
-    except ValueError:
-        raise ParseError(f"'{toks[1]}' is not an integer", lineno)
+    [n] = _integers(toks[1:], f"'{toks[1]}' is not an integer", lineno)
     if n < 1:
         raise ParseError("rank must be at least 1", lineno)
 
@@ -393,10 +383,7 @@ def parse_fan(text: str) -> Fan:
             raise ParseError(
                 f"expected {n} coordinates, got {len(toks)}", lineno
             )
-        try:
-            v = tuple(int(t) for t in toks)
-        except ValueError:
-            raise ParseError("ray coordinates must be integers", lineno)
+        v = tuple(_integers(toks, "ray coordinates must be integers", lineno))
         if not any(v):
             raise ParseError("zero vector is not a valid ray", lineno)
         p = primitive(v)
@@ -412,10 +399,7 @@ def parse_fan(text: str) -> Fan:
     maxcones = []
     for _ in range(m):
         lineno, toks = take("cone ray indices")
-        try:
-            idx = [int(t) for t in toks]
-        except ValueError:
-            raise ParseError("ray indices must be integers", lineno)
+        idx = _integers(toks, "ray indices must be integers", lineno)
         if len(set(idx)) != len(idx):
             raise ParseError("duplicate ray index in cone", lineno)
         for i in idx:
@@ -426,3 +410,18 @@ def parse_fan(text: str) -> Fan:
     if pos != len(lines):
         raise ParseError("trailing content after maxcones", lines[pos][0])
     return Fan(n, rays, maxcones, warnings)
+
+
+def _integers(tokens: list[str], message: str, lineno: int) -> list[int]:
+    """The tokens as integers, or ``ParseError(message)``.  A decimal token
+    with more digits than Python converts from a string is refused by a
+    message that names the limit (``sys.get_int_max_str_digits()``)."""
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        for t in tokens:
+            digits = (t[1:] if t[0] in "+-" else t).replace("_", "")
+            if digits.isdecimal() and 0 < limit < len(digits):
+                message = f"integer has {len(digits)} digits; Python's limit is {limit}"
+        raise ParseError(message, lineno)

@@ -6,8 +6,8 @@ subgroups in Y(T) = Z^n, dual to each other under the standard dot-product
 pairing.  Everything here is a pure function of immutable data.
 
 Dense elimination over Q has one kernel, ``echelon``: fraction-free
-(Bareiss) Gauss-Jordan elimination on integers.  ``rank``, ``determinant``
-and ``invert_unimodular`` are read off it.  Smith normal form is separate:
+(Bareiss) Gauss-Jordan elimination on integers.  ``rank`` and
+``invert_unimodular`` are read off it.  Smith normal form is separate:
 it uses unimodular row and column operations over Z, and each ``Cone``
 reads sigma^perp, smoothness and its dual basis off one.
 
@@ -53,14 +53,6 @@ def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    cols = len(b[0]) if b else 0
-    return [
-        [sum(row[k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-        for row in a
-    ]
-
-
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> Vector:
     return tuple(sum(map(mul, row, v)) for row in a)
 
@@ -71,21 +63,20 @@ def transpose(a: Sequence[Sequence[int]]) -> Matrix:
     return [[a[i][j] for i in range(rows)] for j in range(cols)]
 
 
-def echelon(m: Sequence[Sequence[int]]) -> tuple[Matrix, list[int], int, int]:
+def echelon(m: Sequence[Sequence[int]]) -> tuple[Matrix, list[int], int]:
     """Fraction-free Gauss-Jordan elimination over Q (Bareiss 1968).
 
-    Returns ``(a, pivots, d, sign)``: ``a`` is ``d * rref(M)``, ``pivots``
-    its pivot columns, ``d`` the last pivot (1 when there is none) and
-    ``sign`` the parity of the row swaps.  Each step replaces every other
-    row by ``(row * p - row[j] * pivot_row) // prev``; the division is
-    exact because every entry stays a minor of M, and ``d`` is the signed
-    determinant of the pivot rows and columns.
+    Returns ``(a, pivots, d)``: ``a`` is ``d * rref(M)``, ``pivots`` its
+    pivot columns and ``d`` the last pivot (1 when there is none).  Each
+    step replaces every other row by ``(row * p - row[j] * pivot_row) //
+    prev``; the division is exact because every entry stays a minor of M,
+    and ``d`` is, up to sign, the determinant of the pivot rows and
+    columns.
     """
     a = [list(row) for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivots: list[int] = []
-    sign = 1
     prev = 1
     for j in range(cols):
         r = len(pivots)
@@ -96,7 +87,6 @@ def echelon(m: Sequence[Sequence[int]]) -> tuple[Matrix, list[int], int, int]:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
-            sign = -sign
         top = a[r]
         p = top[j]
         for i in range(rows):
@@ -106,16 +96,7 @@ def echelon(m: Sequence[Sequence[int]]) -> tuple[Matrix, list[int], int, int]:
             a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], top)]
         prev = p
         pivots.append(j)
-    return a, pivots, prev, sign
-
-
-def determinant(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant; 1 for the empty matrix."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ShapeError("determinant of a non-square matrix")
-    _, pivots, d, sign = echelon(m)
-    return sign * d if len(pivots) == n else 0
+    return a, pivots, prev
 
 
 def rank(m: Sequence[Sequence[int]]) -> int:
@@ -128,7 +109,7 @@ def invert_unimodular(m: Sequence[Sequence[int]]) -> Matrix:
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix is not square")
-    a, pivots, d, _ = echelon(
+    a, pivots, d = echelon(
         [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
     )
     if pivots != list(range(n)) or d not in (1, -1):
@@ -395,10 +376,10 @@ def kernel_basis(m: Sequence[Sequence[int]]) -> list[Vector]:
 class QuotientLatticePresentation(NamedTuple):
     """Z^n modulo a sublattice, presented as Z^rank (+) sum Z/d_i.
 
-    ``project`` sends v to its coordinates in the presentation; two vectors
-    have the same class iff their projections agree.  Built from the Smith
-    normal form of the generator matrix; torsion is reported exactly as
-    computed (no saturation).
+    Built from the Smith normal form U G V = D of the generator matrix G:
+    the rows of U at ``free_rows`` (where D has no nonzero diagonal entry)
+    give ``free_part``, the coordinates of v in Z^rank.  ``torsion`` is
+    reported exactly as computed (no saturation).
     """
 
     n: int
@@ -406,27 +387,11 @@ class QuotientLatticePresentation(NamedTuple):
     torsion: tuple[int, ...]
     u: tuple[Vector, ...]
     free_rows: tuple[int, ...]
-    torsion_rows: tuple[int, ...]
-
-    def project(self, v: Sequence[int]) -> tuple[Vector, Vector]:
-        if len(v) != self.n:
-            raise ShapeError(f"vector of length {len(v)} in Z^{self.n}")
-        y = mat_vec(self.u, v)
-        free = tuple(y[i] for i in self.free_rows)
-        tors = tuple(
-            y[i] % d for i, d in zip(self.torsion_rows, self.torsion)
-        )
-        return free, tors
 
     def free_part(self, v: Sequence[int]) -> Vector:
-        return self.project(v)[0]
-
-    def is_zero(self, v: Sequence[int]) -> bool:
-        free, tors = self.project(v)
-        return not any(free) and not any(tors)
-
-    def same_class(self, v: Sequence[int], w: Sequence[int]) -> bool:
-        return self.is_zero(tuple(a - b for a, b in zip(v, w)))
+        if len(v) != self.n:
+            raise ShapeError(f"vector of length {len(v)} in Z^{self.n}")
+        return tuple(pairing(self.u[i], v) for i in self.free_rows)
 
     def lift_basis(self) -> list[Vector]:
         """Vectors in Z^n mapping to the free unit coordinates."""
@@ -449,15 +414,10 @@ def quotient_by_sublattice(
     free_rows = tuple(
         i for i in range(n) if i >= len(diag) or diag[i] == 0
     )
-    torsion_rows = tuple(
-        i for i in range(len(diag)) if diag[i] > 1
-    )
-    torsion = tuple(diag[i] for i in torsion_rows)
     return QuotientLatticePresentation(
         n,
         len(free_rows),
-        torsion,
+        tuple(x for x in diag if x > 1),
         tuple(tuple(r) for r in u),
         free_rows,
-        torsion_rows,
     )

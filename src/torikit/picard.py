@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import IncompatibleFamilyError
-from .fan import Fan, RaySet, require_smooth
+from .fan import Fan, require_smooth
 from .lattice import Vector, pairing, quotient_by_sublattice, solve_integer
 from .stratification import dual_basis_character
 
@@ -30,9 +30,6 @@ class CharacterFamily(NamedTuple):
 
     fan: Fan
     chars: tuple[Vector, ...]  # parallel to fan.maximal_cones
-
-    def char_for(self, rayset: RaySet) -> Vector:
-        return self.chars[self.fan.maximal_cones.index(tuple(sorted(rayset)))]
 
     def check_compatible(self) -> None:
         fan = self.fan
@@ -48,14 +45,6 @@ class CharacterFamily(NamedTuple):
                         f"classes on cones {maxc[i]} and {maxc[j]} disagree "
                         f"on their intersection {common}"
                     )
-
-    def same_family(self, other: "CharacterFamily") -> bool:
-        """Equal iff all per-cone classes agree in X(T_sigma)."""
-        for c, a, b in zip(self.fan.maximal_cones, self.chars, other.chars):
-            diff = tuple(x - y for x, y in zip(a, b))
-            if any(pairing(diff, self.fan.rays[v]) != 0 for v in c):
-                return False
-        return True
 
     def __add__(self, other: "CharacterFamily") -> "CharacterFamily":
         return CharacterFamily(

@@ -254,6 +254,26 @@ def test_validating_a_ray_of_rank_600_is_quick(tmp_path):
     assert elapsed < 3, elapsed
 
 
+def test_an_integer_past_the_digit_limit_names_the_limit(tmp_path):
+    # Python refuses to convert a string of more than
+    # sys.get_int_max_str_digits() digits to an int
+    f = tmp_path / "long.fan"
+    f.write_text("rank 2\nrays 2\n" + "7" * 5000 + " 1\n0 1\nmaxcones 1\n0 1\n")
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "torikit.cli", "validate", str(f)],
+        capture_output=True, text=True, cwd=ROOT, timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert result.returncode == 2
+    assert result.stdout == ""
+    limit = sys.get_int_max_str_digits()
+    assert result.stderr == (
+        f"error: line 3: integer has 5000 digits; Python's limit is {limit}\n"
+    )
+    assert elapsed < 2, elapsed
+
+
 def test_ring_relations_on_an_unused_ray(tmp_path, capsys):
     f = tmp_path / "p2_unused_ray.fan"
     f.write_text(P2_UNUSED_RAY)

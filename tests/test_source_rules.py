@@ -10,7 +10,10 @@
   on every import, a large share of the start-up when no bytecode is
   cached.
 * No dead helpers: every private (``_name``) module-level function and
-  method is referenced somewhere in the package outside its own body.
+  method is referenced somewhere in the package outside its own body, and
+  every public module-level function is too, or is exported from
+  ``torikit/__init__.py``.  A function that only the tests call belongs
+  in the tests.
 """
 
 import ast
@@ -82,3 +85,34 @@ def test_every_private_helper_is_referenced():
         if total[d.name] - _references(d)[d.name] <= 0
     ]
     assert not dead, f"private helpers referenced nowhere else: {dead}"
+
+
+def test_every_public_function_is_used_or_exported():
+    trees = {
+        p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+        for p in MODULES
+    }
+    exported = {
+        alias.asname or alias.name
+        for node in ast.walk(trees["__init__.py"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    # an import that is never used does not keep a function alive
+    imports = Counter(
+        node.name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.alias)
+    )
+    total = sum((_references(t) for t in trees.values()), Counter()) - imports
+    dead = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in exported
+        and total[node.name] - _references(node)[node.name] <= 0
+    ]
+    assert not dead, f"public functions neither used nor exported: {dead}"
