@@ -283,7 +283,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     try:
         with open(args.fanfile, "r", encoding="utf-8") as fh:
-            fan = parse_fan(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{args.fanfile}: not UTF-8 text ({exc.reason})") from exc
+        fan = parse_fan(text)
         for w in fan.warnings:
             print(f"warning: {w}", file=sys.stderr)
         if args.command != "validate":

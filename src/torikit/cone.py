@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from math import prod
+from operator import le
 from typing import Optional, Sequence
 
 from .errors import PointednessError, ToricError
@@ -310,9 +311,7 @@ def _hilbert_pointed(
     accepted: list[list[int]] = []
     for x in ordered:
         values = [pairing(x, nu) for nu in normals]
-        if not any(
-            all(a <= b for a, b in zip(y, values)) for y in accepted
-        ):
+        if not any(all(map(le, y, values)) for y in accepted):
             basis.append(x)
             accepted.append(values)
     return sorted(basis)

@@ -5,18 +5,18 @@ lists of rows.  Characters of the torus live in X(T) = Z^n, one-parameter
 subgroups in Y(T) = Z^n, dual to each other under the standard dot-product
 pairing.  Everything here is a pure function of immutable data.
 
-Dense elimination over Q has one kernel, ``echelon``: fraction-free
-(Bareiss) Gauss-Jordan elimination on integers.  ``rank`` and
-``invert_unimodular`` are read off it.  Smith normal form is separate:
-it uses unimodular row and column operations over Z, and each ``Cone``
-reads sigma^perp, smoothness and its dual basis off one.
+There are two elimination kernels, both over Z.  ``smith_normal_form`` is
+dense: it returns the unimodular transforms U and V with U M V = D, each
+``Cone`` reads sigma^perp, smoothness and its dual basis off one, and
+``invert_unimodular`` reads M^-1 = V U off it.
 
-Large sparse matrices, such as the relations of the graded pieces in
-``rings``, have one sparse kernel on rows kept as dicts: ``cokernel``
-reduces the rows in order against a sparse echelon with unimodular row
-operations only, and reads off it both the rows in the span of the rows
-before them and the elementary divisors.  The rows of the echelon whose
-pivots are not units go to ``smith_normal_form``.
+``_sparse_echelon`` works on rows kept as dicts: it reduces the rows in
+order against a sparse echelon with unimodular row operations only, and
+finds the rows in the span of the rows before them.  ``rank`` counts the
+others.  ``cokernel``, for the large sparse relations of the graded pieces
+in ``rings``, reads off the same echelon both those rows and the
+elementary divisors; the rows of the echelon whose pivots are not units go
+to ``smith_normal_form``.
 """
 
 from __future__ import annotations
@@ -61,61 +61,6 @@ def transpose(a: Sequence[Sequence[int]]) -> Matrix:
     rows = len(a)
     cols = len(a[0]) if rows else 0
     return [[a[i][j] for i in range(rows)] for j in range(cols)]
-
-
-def echelon(m: Sequence[Sequence[int]]) -> tuple[Matrix, list[int], int]:
-    """Fraction-free Gauss-Jordan elimination over Q (Bareiss 1968).
-
-    Returns ``(a, pivots, d)``: ``a`` is ``d * rref(M)``, ``pivots`` its
-    pivot columns and ``d`` the last pivot (1 when there is none).  Each
-    step replaces every other row by ``(row * p - row[j] * pivot_row) //
-    prev``; the division is exact because every entry stays a minor of M,
-    and ``d`` is, up to sign, the determinant of the pivot rows and
-    columns.
-    """
-    a = [list(row) for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots: list[int] = []
-    prev = 1
-    for j in range(cols):
-        r = len(pivots)
-        if r == rows:
-            break
-        piv = next((i for i in range(r, rows) if a[i][j] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        top = a[r]
-        p = top[j]
-        for i in range(rows):
-            f = a[i][j]
-            if i == r or (f == 0 and p == prev):
-                continue
-            a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], top)]
-        prev = p
-        pivots.append(j)
-    return a, pivots, prev
-
-
-def rank(m: Sequence[Sequence[int]]) -> int:
-    """Exact rank over Q; 0 for the empty matrix."""
-    return len(echelon(m)[1])
-
-
-def invert_unimodular(m: Sequence[Sequence[int]]) -> Matrix:
-    """Inverse of an integer matrix with determinant +-1 (integer result)."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix is not square")
-    a, pivots, d = echelon(
-        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    )
-    if pivots != list(range(n)) or d not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    # a = d * [I | M^-1] and d * d = 1.
-    return [[d * x for x in row[n:]] for row in a]
 
 
 def smith_normal_form(
@@ -214,6 +159,21 @@ def diagonal_of(d: Sequence[Sequence[int]]) -> list[int]:
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
 
 
+def invert_unimodular(m: Sequence[Sequence[int]]) -> Matrix:
+    """Inverse of an integer matrix with determinant +-1 (integer result).
+
+    M is unimodular exactly when its Smith normal form U M V = D is I, and
+    then M^-1 = V U."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix is not square")
+    u, d, v = smith_normal_form(m)
+    if any(x != 1 for x in diagonal_of(d)):
+        raise ValueError("matrix is not unimodular")
+    columns = list(zip(*u))
+    return [[sum(map(mul, row, col)) for col in columns] for row in v]
+
+
 SparseRow = Mapping[Hashable, int]
 
 
@@ -229,16 +189,15 @@ def _bezout(a: int, b: int) -> tuple[int, int, int]:
     return a, s0, t0
 
 
-def cokernel(rows: Sequence[SparseRow]) -> tuple[list[int], list[int]]:
-    """``(divisors, dependent)`` for the integer matrix whose rows are the
+def _sparse_echelon(rows: Sequence[SparseRow]) -> tuple[dict, list[int]]:
+    """``(echelon, dependent)`` for the integer matrix whose rows are the
     sparse ``rows`` (missing keys are zero entries).
 
-    ``divisors`` are its nonzero elementary divisors, in divisibility-chain
-    order; a matrix and its transpose have the same ones, so the rows may
-    just as well be its columns.  ``dependent`` are the indices of the rows
-    that lie in the Q-span of the rows before them.  The other rows are
-    the greedy row basis, so the unit vectors at the dependent indices are
-    a Q-basis of the cokernel of the matrix.
+    ``echelon`` maps the pivot column of each of its rows to (the order it
+    was stored in, the row), in storage order; it has full row rank and
+    generates the row lattice.  ``dependent`` are the indices of the rows
+    that lie in the Q-span of the rows before them, so the rank is the
+    number of rows less their number.
 
     One pass reduces each row r in turn against a sparse echelon E, using
     only unimodular row operations (Kannan and Bachem, SIAM J. Comput. 8,
@@ -259,14 +218,6 @@ def cokernel(rows: Sequence[SparseRow]) -> tuple[list[int], list[int]]:
     exactly when it is zero (read a combination of the rows of E at their
     pivots, in storage order), and then its row is dependent; otherwise r
     joins E with an entry of least absolute value as its pivot.
-
-    E then has full row rank and generates the row lattice, so it has the
-    divisors of the matrix.  Walk E in storage order, keeping the non-unit
-    rows so far in N.  A row with a +-1 pivot at c clears c from N by row
-    operations; no later row of E has an entry at c, so column operations
-    clear the rest of the row and change no other, and it splits off a
-    divisor 1.  A row with a non-unit pivot joins N.  The divisors of what
-    is left, N, come from ``smith_normal_form``.
     """
     echelon_rows: dict = {}  # pivot column -> (order stored, row)
     dependent = []
@@ -304,6 +255,36 @@ def cokernel(rows: Sequence[SparseRow]) -> tuple[list[int], list[int]]:
             echelon_rows[pivot] = (len(echelon_rows), r)
         else:
             dependent.append(index)
+    return echelon_rows, dependent
+
+
+def rank(m: Sequence[Sequence[int]]) -> int:
+    """Exact rank over Q; 0 for the empty matrix.  It is the number of rows
+    less those in the span of the rows before them (``_sparse_echelon``)."""
+    return len(m) - len(_sparse_echelon([dict(enumerate(row)) for row in m])[1])
+
+
+def cokernel(rows: Sequence[SparseRow]) -> tuple[list[int], list[int]]:
+    """``(divisors, dependent)`` for the integer matrix whose rows are the
+    sparse ``rows`` (missing keys are zero entries).
+
+    ``divisors`` are its nonzero elementary divisors, in divisibility-chain
+    order; a matrix and its transpose have the same ones, so the rows may
+    just as well be its columns.  ``dependent`` are the indices of the rows
+    that lie in the Q-span of the rows before them.  The other rows are
+    the greedy row basis, so the unit vectors at the dependent indices are
+    a Q-basis of the cokernel of the matrix.
+
+    Both are read off the sparse echelon E of ``_sparse_echelon``, which
+    generates the row lattice and so has the divisors of the matrix.  Walk
+    E in storage order, keeping the non-unit rows so far in N.  A row with
+    a +-1 pivot at c clears c from N by row operations; no later row of E
+    has an entry at c, so column operations clear the rest of the row and
+    change no other, and it splits off a divisor 1.  A row with a non-unit
+    pivot joins N.  The divisors of what is left, N, come from
+    ``smith_normal_form``.
+    """
+    echelon_rows, dependent = _sparse_echelon(rows)
     units = 0
     rest: list[dict] = []
     for c, (_, p) in echelon_rows.items():  # in storage order

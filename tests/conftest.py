@@ -1,4 +1,5 @@
 import importlib.util
+import os
 import pathlib
 import sys
 
@@ -8,6 +9,12 @@ from torikit import parse_fan
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FAN_DIR = ROOT / "fans"
+
+# pytest puts src/ on sys.path (pyproject.toml); the CLI tests that run
+# ``python -m torikit.cli`` as a subprocess need it on PYTHONPATH too.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 def _load(name, path):

@@ -10,6 +10,7 @@ import pytest
 
 import torikit.fan
 from torikit.cli import COMMANDS, main
+from torikit.cone import MAX_PARALLELEPIPED_POINTS
 from torikit.errors import SmoothnessError
 from torikit.fan import parse_fan, require_smooth
 
@@ -126,6 +127,15 @@ def test_malformed_file_exits_2(tmp_path):
     result = run_cli(["validate", str(bad)])
     assert result.returncode == 2
     assert "line 3" in result.stderr
+
+
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.fan"
+    bad.write_bytes(b"rank 2\nrays 1\n1 0\xff\n")
+    assert main(["validate", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
 
 
 def test_bad_max_degree_exits_2():
@@ -412,3 +422,87 @@ def test_each_cone_makes_one_smith_normal_form(command, tmp_path, monkeypatch, c
     assert {caller for _, caller in calls} <= {"_chart", "quotient_by_sublattice"}
     cones = len(data.cones()) - 1 if charted == "cones" else len(data.maxcones)
     assert calls["smith_normal_form", "_chart"] == cones
+
+
+# Hostile input: each answer is an exit code of 0, 1 or 2 with a message,
+# in bounded time, and never a traceback.
+
+
+def timed_main(args, capsys):
+    start = time.perf_counter()
+    code = main(args)
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    return code, out, err, elapsed
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["rank 2\nrays 1000000000000\n", "rank 2\nrays 1\n1 0\nmaxcones 100000000000\n"],
+    ids=["rays-1e12", "maxcones-1e11"],
+)
+def test_a_huge_header_count_ends_the_file_early(text, tmp_path, capsys):
+    f = tmp_path / "huge_count.fan"
+    f.write_text(text)
+    code, out, err, elapsed = timed_main(["validate", str(f)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unexpected end of file"), err
+    assert elapsed < 2, elapsed
+
+
+def test_a_huge_rank_names_the_coordinate_count(tmp_path, capsys):
+    f = tmp_path / "huge_rank.fan"
+    f.write_text("rank 100000000\nrays 1\n1 0\nmaxcones 1\n0\n")
+    code, out, err, elapsed = timed_main(["validate", str(f)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: line 3: expected 100000000 coordinates, got 2\n"
+    assert elapsed < 2, elapsed
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_hirzebruch_with_a_huge_twist(command, tmp_path, capsys):
+    f = tmp_path / "f_huge.fan"
+    f.write_text(fans.hirzebruch(10**200).text())
+    code, out, err, elapsed = timed_main([command, str(f)], capsys)
+    assert code == 0, err
+    assert out and err == ""
+    assert elapsed < 2, elapsed
+
+
+# P^2 with the third ray moved to (-1, -10^200): complete, and smooth but
+# for the cone (0, 2) of determinant -10^200.
+P2_HUGE_RAY = "rank 2\nrays 3\n1 0\n0 1\n-1 -1" + "0" * 200 + "\nmaxcones 3\n0 1\n1 2\n0 2\n"
+
+
+@pytest.mark.parametrize("command", ["picard", "ring"])
+def test_a_huge_ray_entry_is_not_smooth(command, tmp_path, capsys):
+    f = tmp_path / "p2_huge_ray.fan"
+    f.write_text(P2_HUGE_RAY)
+    code, out, err, elapsed = timed_main([command, str(f)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: fan not smooth: rays of cone (0, 2) are not part of a Z-basis\n"
+    assert elapsed < 2, elapsed
+
+
+def test_a_huge_ray_entry_names_the_parallelepiped_bound(tmp_path, capsys):
+    f = tmp_path / "p2_huge_ray.fan"
+    f.write_text(P2_HUGE_RAY)
+    code, out, err, elapsed = timed_main(["hilbert", str(f)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: Hilbert basis of cone (0, 2): "), err
+    assert err.endswith(f"more than the {MAX_PARALLELEPIPED_POINTS} torikit enumerates\n"), err
+    assert elapsed < 2, elapsed
+
+
+@pytest.mark.parametrize("command", ["validate", "picard"])
+def test_a_deep_blow_up_chain(command, tmp_path, capsys):
+    f = tmp_path / "p2_blown_up_200.fan"
+    f.write_text(fans.iterated_blowup_p2(200).text())
+    code, out, err, elapsed = timed_main([command, str(f)], capsys)
+    assert code == 0, err
+    assert err == ""
+    assert out == {
+        "validate": "valid, smooth, complete\n",
+        "picard": "Pic rank 201, torsion none; Pic_T rank 203\n",
+    }[command]
+    assert elapsed < 10, elapsed

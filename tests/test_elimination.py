@@ -1,6 +1,7 @@
-"""The fraction-free elimination kernel and its callers, and the sparse
-kernel ``cokernel`` (elementary divisors and dependent rows), against
-sympy, the dense Smith normal form and brute force."""
+"""The two elimination kernels over Z and their callers, against sympy,
+each other and brute force: the sparse echelon shared by ``rank`` and
+``cokernel`` (dependent rows and elementary divisors), and the dense
+Smith normal form, off which ``invert_unimodular`` reads M^-1 = V U."""
 
 import itertools
 
@@ -12,9 +13,9 @@ from sympy.matrices.normalforms import invariant_factors
 
 from torikit.cone import _parallelepiped_points
 from torikit.lattice import (
+    _sparse_echelon,
     cokernel,
     diagonal_of,
-    echelon,
     invert_unimodular,
     rank,
     smith_normal_form,
@@ -66,30 +67,41 @@ EDGE_SHAPES = [
 
 
 def check_echelon(m):
-    a, pivots, d = echelon(m)
-    cols = len(m[0]) if m else 0
-    rref, sym_pivots = as_sympy(m, cols).rref()
-    assert pivots == list(sym_pivots)
-    assert d != 0
-    assert as_sympy(a, cols) == d * rref
-    assert all(isinstance(x, int) for row in a for x in row)
+    """The shared sparse echelon E of m: its dependent rows are those in
+    the span of the rows before them; each row of E has a nonzero pivot
+    and is zero on the pivots of the rows stored before it; and E
+    generates the row lattice of m.  The last holds because E, m and the
+    two stacked have the same elementary divisors: lattices of the same
+    rank, one inside the other, with the same covolume are equal."""
+    e, dependent = _sparse_echelon(sparse(m))
+    assert dependent == [i for i in range(len(m)) if i not in greedy_independent_rows(m)]
+    assert len(e) == len(m) - len(dependent) == rank(m) == as_sympy(m).rank()
+    assert [order for order, _ in e.values()] == list(range(len(e)))
+    before = []
+    for c, (_, p) in e.items():
+        assert p[c] != 0 and all(isinstance(x, int) and x for x in p.values())
+        assert not any(k in p for k in before)
+        before.append(c)
+    if e:
+        cols = len(m[0])
+        dense = [[p.get(j, 0) for j in range(cols)] for _, p in e.values()]
+        assert sympy_divisors(dense) == sympy_divisors(m) == sympy_divisors(dense + m)
 
 
 @pytest.mark.parametrize("m", EDGE_SHAPES)
 def test_echelon_edge_shapes(m):
     check_echelon(m)
-    assert rank(m) == as_sympy(m).rank()
 
 
 def test_empty_matrix():
-    assert echelon([]) == ([], [], 1)
+    assert _sparse_echelon([]) == ({}, [])
     assert rank([]) == 0
     assert invert_unimodular([]) == []
 
 
 @settings(max_examples=150, deadline=None)
 @given(matrices())
-def test_echelon_is_scaled_rref(m):
+def test_sparse_echelon_generates_the_row_lattice(m):
     check_echelon(m)
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 import sympy
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torikit.lattice import (
-    echelon,
+    diagonal_of,
     invert_unimodular,
     kernel_basis,
     mat_vec,
@@ -93,9 +94,10 @@ def test_primitive():
 
 
 def test_determinant_and_rank():
-    # the last pivot of a full-rank square echelon is the determinant up to sign
-    assert echelon([[1, 2], [3, 4]])[2] in (2, -2)
-    assert echelon([[2, 0, 0], [0, 3, 0], [0, 0, 4]])[2] in (24, -24)
+    # the Smith diagonal of a square matrix multiplies to |det|
+    assert diagonal_of(smith_normal_form([[1, 2], [3, 4]])[1]) == [1, 2]
+    assert diagonal_of(smith_normal_form([[2, 0, 0], [0, 3, 0], [0, 0, 4]])[1]) == [1, 2, 12]
+    assert rank([[1, 2], [3, 4]]) == 2
     assert rank([[1, 2], [2, 4]]) == 1
     assert rank([[1, 0], [0, 1]]) == 2
     assert rank([[0, 0], [0, 0]]) == 0
@@ -123,11 +125,11 @@ def test_determinant_matches_fraction_elimination():
             for r in range(col + 1, n):
                 f = work[r][col] / work[col][col]
                 work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-        _, pivots, d = echelon(m)
+        diag = diagonal_of(smith_normal_form(m)[1])
         if det:
-            assert len(pivots) == n and abs(d) == abs(det)
+            assert rank(m) == n and prod(diag) == abs(det)
         else:
-            assert len(pivots) < n
+            assert rank(m) < n and 0 in diag
 
 
 def test_invert_unimodular():

@@ -1,8 +1,9 @@
 """Rules on the package source, checked by parsing it.
 
-* Exact elimination is fraction-free: the dense kernel ``lattice.echelon``
-  and the sparse one, ``lattice.cokernel``, work on integers, and no
-  module imports ``fractions``.
+* Exact elimination is fraction-free: both kernels work on integers, the
+  dense Smith normal form ``lattice.smith_normal_form`` and the sparse
+  unimodular echelon shared by ``lattice.rank`` and ``lattice.cokernel``,
+  and no module imports ``fractions``.
 * Preconditions and internal checks raise ``ToricError``; ``assert`` is
   stripped under ``python -O``, so the package has none.
 * Records are named tuples or plain classes, and no module imports
