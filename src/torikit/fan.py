@@ -12,7 +12,11 @@ verdict of ``validate_fan`` is computed once per fan and kept as
 ``Fan.validation``.  The lattice data of a cone (sigma^perp, smoothness,
 the dual basis, X(T_sigma)) are kept on its ``Cone``.  Validation and the
 smoothness verdict are decided on the maximal cones, so a face needs no
-dual and no chart for them.
+dual and no chart for them.  A fan of full-dimensional simplicial maximal
+cones is first certified valid and complete by wall crossing, one local
+check per facet on the facet normals the parse computed (``Fan.walls``);
+only when that fails or does not apply are pairs of maximal cones
+intersected.
 """
 
 from __future__ import annotations
@@ -87,6 +91,14 @@ class Fan:
         return validate_fan(self)
 
     @cached_property
+    def walls(self) -> Optional[dict[RaySet, tuple[RaySet, RaySet]]]:
+        """Each facet of a maximal cone, mapped to the two maximal cones
+        that share it, when the wall-crossing certificate of
+        ``validate_fan`` holds, which makes the fan valid and complete;
+        None when it fails or does not apply."""
+        return _wall_certificate(self)
+
+    @cached_property
     def first_singular_cone(self) -> Optional[RaySet]:
         """The first cone, in ``cones`` order, that is not smooth, or None.
         Only the maximal cones are charted unless one of them is singular
@@ -122,9 +134,49 @@ def validate_fan(fan: Fan) -> ValidationReport:
     of each.  The check stops after vertex violations.  Axiom (a), every
     face of a cone is a cone of the fan, holds by construction of ``Fan``.
 
-    Pointedness is decided on the maximal cones; all cones are scanned, in
-    ``cones`` order, only to name every violation once a maximal cone
-    fails (``_failing_cones``).  Every cone lies on a subset of the rays
+    A fan that ``Fan.walls`` certifies by wall crossing is valid, and its
+    report is empty.  The certificate applies when every maximal cone is
+    full dimensional and simplicial, so that every cone is a face of one
+    and the facets of a maximal cone, the walls, are its sets of n - 1
+    rays.  It holds when
+
+    1. every wall lies in exactly two maximal cones;
+    2. the rays of those two cones opposite the wall lie strictly on
+       opposite sides of it, read off the facet normal of one of them;
+    3. the sum of the rays of the first maximal cone, a point of its
+       interior, lies in no other maximal cone.
+
+    Then the fan is valid and complete (De Loera, Rambau and Santos,
+    *Triangulations*, 2010, Section 4.5).  Proof: call a point generic
+    when it lies on no cone spanned by n - 2 rays of a maximal cone and on
+    no two walls in distinct hyperplanes.  The other points lie in finitely
+    many subspaces of codimension 2, so any two generic points are joined
+    by a path of generic points that crosses walls transversally.  Let
+    deg x count the maximal cones that contain a generic x; it is constant
+    off the walls.  The walls through a generic y lie in one hyperplane H,
+    and a maximal cone with y on its boundary has exactly one of them as a
+    facet.  By 1 and 2 those walls pair such cones, one on each side of H,
+    so deg is the same on both sides of y.  A pseudo-manifold with proper
+    walls thus covers R^n with constant degree.  By 3 the generic points
+    near the interior point lie in the first cone only, so the degree is 1:
+    the support is R^n and no two maximal cones share an interior point.
+
+    Axiom (b): let x lie in maximal cones sigma and tau, and let S be the
+    rays of the face of sigma that has x in its relative interior.  In a
+    small ball around x, the only walls of the maximal cones on S are
+    those through x, which contain S; by 1 and 2 each is shared by two
+    maximal cones on S, one on each side.  As above, these cones cover the
+    generic points of the ball with constant degree, at least 1 (sigma is
+    one of them) and at most 1.  tau is full dimensional, so it contains
+    generic points of the ball, and tau too is a maximal cone on S.  So x
+    lies in the cone on the common rays of sigma and tau, which is then
+    sigma & tau, a face of each.  Every cone is pointed, being a face of
+    a cone on linearly independent rays.
+
+    When the certificate fails or does not apply, the checks below run
+    and the report names every violation.  Pointedness is decided on the
+    maximal cones; all cones are scanned, in ``cones`` order, only to name
+    every violation once a maximal cone fails (``_failing_cones``).  Every cone lies on a subset of the rays
     of a maximal cone, so it has a vertex if that cone has one; and it is
     smooth if that cone is, since a subset of a part of a Z-basis is part
     of a Z-basis.
@@ -147,6 +199,8 @@ def validate_fan(fan: Fan) -> ValidationReport:
     each maximal cone whose ray set contains it.
     """
     report = ValidationReport()
+    if fan.walls is not None:
+        return report
     maximal = fan.maximal_cones
     for c in _failing_cones(fan, lambda c: fan.cone(c).has_vertex()):
         report.add("vertex", f"cone {c} contains a line (no vertex)")
@@ -163,6 +217,39 @@ def validate_fan(fan: Fan) -> ValidationReport:
                 f"intersection of cones {c1} and {c2} is not a face of {c}",
             )
     return report
+
+
+def _wall_certificate(fan: Fan) -> Optional[dict[RaySet, tuple[RaySet, RaySet]]]:
+    """The walls of ``fan`` mapped to the two maximal cones on them, if the
+    three checks of ``validate_fan`` hold; None otherwise, or when some
+    maximal cone is not full dimensional and simplicial.
+
+    A full-dimensional simplicial cone has one facet normal per ray: the
+    one that is nonzero on that ray alone, whose facet is the other rays.
+    Its dual is generated by its facet normals, so they decide membership.
+    """
+    n, maximal = fan.n, fan.maximal_cones
+    if any(len(c) != n or fan.dim_of(c) != n for c in maximal):
+        return None
+    sides: dict[RaySet, list[tuple[RaySet, Vector, int]]] = {}
+    for c in maximal:
+        k = fan.cone(c)
+        for a in k.facet_normals:
+            j = next(j for j, g in enumerate(k.generators) if pairing(a, g))
+            sides.setdefault(c[:j] + c[j + 1 :], []).append((c, a, c[j]))
+    walls = {}
+    for wall, cones in sides.items():
+        if len(cones) != 2:
+            return None
+        (c1, a1, _), (c2, _, v2) = cones
+        if pairing(a1, fan.rays[v2]) >= 0:
+            return None
+        walls[wall] = (c1, c2)
+    point = [sum(x) for x in zip(*(fan.rays[i] for i in maximal[0]))]
+    for c in maximal[1:]:
+        if all(pairing(a, point) >= 0 for a in fan.cone(c).facet_normals):
+            return None
+    return walls
 
 
 def _failing_cones(fan: Fan, holds: Callable[[RaySet], bool]) -> Iterator[RaySet]:
@@ -239,8 +326,11 @@ def incompleteness_reasons(fan: Fan) -> list[str]:
 
     For valid fans whose maximal cones are full dimensional, completeness
     is equivalent to every codimension-one cone being a facet of exactly
-    two full-dimensional cones.
+    two full-dimensional cones.  A fan that ``Fan.walls`` certifies is
+    complete (see ``validate_fan``).
     """
+    if fan.walls is not None:
+        return []
     reasons = []
     n_cones = [c for c in fan.cones if fan.dim_of(c) == fan.n]
     for c in fan.maximal_cones:

@@ -366,9 +366,10 @@ def test_picard_makes_one_elimination_for_its_coordinates(monkeypatch):
     assert rep.ordinary_rank == 23
     assert kernels == []
     assert quotients == [(25, [25, 25])]
-    # the parse charted the maximal cones, and the smoothness verdict and
-    # the dual basis characters are read off those charts
-    assert snf_callers == {"quotient_by_sublattice": 1}
+    # the smoothness gate charts each maximal cone once (a fan certified
+    # by wall crossing has none charted by validation), and the dual basis
+    # characters are read off those charts
+    assert snf_callers == {"quotient_by_sublattice": 1, "require_smooth": 25}
     snf_callers.clear()
     picard(fan)
     assert snf_callers == {"quotient_by_sublattice": 1}

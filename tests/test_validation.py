@@ -1,13 +1,17 @@
-"""Fan validation on maximal-cone pairs against the all-pairs check.
+"""Fan validation, by wall crossing or on maximal-cone pairs, against the
+all-pairs check.
 
 ``exhaustive_validate`` is the check ``validate_fan`` made before it
 restricted axiom (b) to pairs of maximal cones: every pair of cones, faces
 included, each face built afresh.  It is kept here as the reference.  The
-fans come from the benchmark's generator, relabelled, and from two
-perturbations that break them.  Every library entry point that needs a
-valid fan is checked to refuse an invalid one.
+fans come from the benchmark's generator, relabelled, and from
+perturbations that break them.  The wall-crossing certificate must hold
+on every generated family and on no fan that is invalid or incomplete.
+Every library entry point that needs a valid fan is checked to refuse an
+invalid one.
 """
 
+import dataclasses
 import math
 import random
 
@@ -83,10 +87,25 @@ def kinds(report: ValidationReport) -> set[str]:
     return {kind for kind, _ in report.violations}
 
 
+def complete_by_facet_count(fan: Fan) -> bool:
+    """For a valid fan: every maximal cone is full dimensional and every
+    cone of dimension n - 1 lies in exactly two of them."""
+    top = [set(c) for c in fan.maximal_cones]
+    return all(fan.dim_of(c) == fan.n for c in fan.maximal_cones) and all(
+        sum(set(c) <= d for d in top) == 2
+        for c in fan.cones
+        if fan.dim_of(c) == fan.n - 1
+    )
+
+
 def assert_agree(fan: Fan) -> ValidationReport:
+    """The two checks agree, and the wall-crossing certificate, when it
+    holds, vouches only for a valid and complete fan."""
     fast, slow = validate_fan(fan), exhaustive_validate(fan)
     assert fast.valid == slow.valid, (fast.violations, slow.violations)
     assert kinds(fast) == kinds(slow), (fast.violations, slow.violations)
+    if fan.walls is not None:
+        assert slow.valid and complete_by_facet_count(fan), slow.violations
     return fast
 
 
@@ -135,8 +154,11 @@ SETTINGS = settings(
 @SETTINGS
 @given(labelled_fans())
 def test_generated_fans_are_valid_under_both_checks(data):
+    """Every generated family is complete and simplicial, and certified."""
     fan = Fan(data.n, data.rays, data.maxcones)
     assert assert_agree(fan).valid
+    assert fan.walls is not None
+    assert len(fan.walls) == len(fan.maximal_cones) * fan.n // 2
 
 
 @SETTINGS
@@ -163,6 +185,20 @@ def test_ray_moved_into_another_cone_is_invalid(data, draw):
     rays[v] = interior_ray(data.rays, tau)
     fan = build(data.n, rays, data.maxcones)
     assert not assert_agree(fan).valid
+
+
+@SETTINGS
+@given(labelled_fans(), st.data())
+def test_perturbed_ray_coordinates_agree(data, draw):
+    """Moving a ray a little may keep the fan valid and complete or break
+    it; validation agrees with the reference either way."""
+    v = draw.draw(st.integers(0, len(data.rays) - 1))
+    shift = draw.draw(st.lists(st.integers(-2, 2), min_size=data.n, max_size=data.n))
+    moved = tuple(x + y for x, y in zip(data.rays[v], shift))
+    assume(any(moved))
+    rays = list(data.rays)
+    rays[v] = moved
+    assert_agree(build(data.n, rays, data.maxcones))
 
 
 @SETTINGS
@@ -202,6 +238,15 @@ def test_maximal_cones_replaced_by_a_facet_agree(data, draw):
 
 QUADRANT_RAYS = ((1, 0), (0, 1), (1, 1))
 UNIT_RAYS_3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+# Five 2-D cones in a cycle that turns back at the rays (1, 2) and (1, 0):
+# every ray lies in two cones, but at those two the cones lie on the same
+# side.  The interior point of (0, 1), (-2, 0), is covered once.
+FOLDED_RAYS = ((-1, 2), (-1, -2), (5, -1), (1, 2), (1, 0))
+FOLDED_CONES = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
+# A complete fan of four 2-D cones and an extra cone (1, 3) over two of
+# them: the rays (1, 0) and (-5, 1) lie in three cones each.
+TRIPLE_RAYS = ((-1, -5), (1, 0), (-1, 5), (-5, 1))
+TRIPLE_CONES = [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]
 
 
 @pytest.mark.parametrize(
@@ -216,6 +261,9 @@ UNIT_RAYS_3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         (Fan(2, ((1, 0), (0, 1)), [(0, 1)]), True, []),
         (load_fan("overlap_invalid"), False, None),
         (load_fan("a1_singular"), True, None),
+        (load_fan("square_cone"), True, []),
+        (Fan(2, FOLDED_RAYS, FOLDED_CONES), False, None),
+        (Fan(2, TRIPLE_RAYS, TRIPLE_CONES), False, None),
         # The ray (2,) is not listed, a face of the faces (0, 2) and (1, 2)
         # as well as of the maximal cone; ``Fan`` adds it.
         (
@@ -230,6 +278,9 @@ UNIT_RAYS_3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         "faces-missing",
         "overlap_invalid",
         "a1_singular",
+        "square_cone",
+        "folded-cycle",
+        "wall-in-three-cones",
         "face-of-a-face-missing",
     ],
 )
@@ -248,13 +299,67 @@ def test_overlap_fan_reports_only_its_maximal_pair():
     ]
 
 
+def less_one_cone(data: fans.FanData) -> fans.FanData:
+    """The family without its first maximal cone: valid, but incomplete,
+    so validation falls back to the pair check."""
+    return dataclasses.replace(data, maxcones=data.maxcones[1:])
+
+
+def test_the_pentagram_is_refused_by_its_interior_point_alone():
+    """Five 2-D cones that wind around the origin twice.  Every ray lies in
+    two cones, whose other rays lie on opposite sides of it, so only the
+    interior point (1, 0) + (-4, 3) = (-3, 3), which (3, 4) also contains,
+    tells it from a fan; the pair check then names the overlaps."""
+    rays = ((1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3))
+    cones = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
+    det = lambda u, v: u[0] * v[1] - u[1] * v[0]
+    for v in range(5):
+        a, b = [w for c in cones if v in c for w in c if w != v]
+        assert det(rays[v], rays[a]) * det(rays[v], rays[b]) < 0
+    fan = Fan(2, rays, cones)
+    assert fan.walls is None
+    report = assert_agree(fan)
+    assert report.violations[:2] == [
+        ("axiom-b", f"intersection of cones (0, 1) and (2, 3) is not a face of {c}")
+        for c in ((0, 1), (2, 3))
+    ]
+    assert len(report.violations) == 10
+
+
+@pytest.mark.parametrize(
+    "data", [fans.projective_space(5), fans.p1_power(4)], ids=["P^5", "(P^1)^4"]
+)
+def test_a_certified_fan_makes_no_pair_check(monkeypatch, data):
+    """Wall crossing needs only the facet normals the parse computed: one
+    double description per maximal cone, and no intersection."""
+    checks, duals = [], []
+    check_pair, dd = torikit.fan._check_pair, torikit.cone.double_description
+
+    def counting_dd(*args, **kwargs):
+        duals.append(kwargs.get("within"))
+        return dd(*args, **kwargs)
+
+    monkeypatch.setattr(torikit.fan, "_check_pair", lambda *a: checks.append(a))
+    monkeypatch.setattr(torikit.cone, "double_description", counting_dd)
+    monkeypatch.setattr(torikit.fan, "double_description", counting_dd)
+    fan = parse_fan(data.text())
+    assert validate_fan(fan).violations == []
+    assert fan.walls is not None
+    assert checks == []
+    assert duals == [None] * len(fan.maximal_cones)
+    assert torikit.fan.incompleteness_reasons(fan) == []
+
+
 @pytest.mark.parametrize(
     "data, pairs",
-    [(fans.projective_space(5), 15), (fans.p1_power(4), 120)],
+    [(less_one_cone(fans.projective_space(5)), 10), (less_one_cone(fans.p1_power(4)), 105)],
     ids=["P^5", "(P^1)^4"],
 )
 def test_axiom_b_is_checked_once_per_maximal_pair(monkeypatch, data, pairs):
+    """On a fan that takes the fallback (P^5 and (P^1)^4, each less one
+    maximal cone), one pair check per pair of maximal cones."""
     fan = Fan(data.n, data.rays, data.maxcones)
+    assert fan.walls is None
     assert len(fan.maximal_cones) * (len(fan.maximal_cones) - 1) // 2 == pairs
     calls = []
     check_pair = torikit.fan._check_pair
@@ -271,15 +376,16 @@ def test_axiom_b_is_checked_once_per_maximal_pair(monkeypatch, data, pairs):
 
 @pytest.mark.parametrize(
     "data, count",
-    [(fans.projective_space(4), 15), (fans.p1_power(3), 36)],
+    [(less_one_cone(fans.projective_space(4)), 10), (less_one_cone(fans.p1_power(3)), 28)],
     ids=["P^4", "(P^1)^3"],
 )
 def test_parse_and_validate_make_one_double_description_per_cone_and_pair(
     monkeypatch, data, count
 ):
-    """One dual per maximal cone, built once, and one intersection per
-    maximal pair: 5 + 10 on P^4 and 8 + 28 on (P^1)^3.  No face needs a
-    dual, and each intersection cuts the first cone of its pair."""
+    """On a fan that takes the fallback, one dual per maximal cone, built
+    once, and one intersection per maximal pair: 4 + 6 on P^4 and 7 + 21
+    on (P^1)^3, each less one maximal cone.  No face needs a dual, and
+    each intersection cuts the first cone of its pair."""
     calls = []
     dd = torikit.cone.double_description
 
@@ -291,6 +397,7 @@ def test_parse_and_validate_make_one_double_description_per_cone_and_pair(
     monkeypatch.setattr(torikit.fan, "double_description", counting)
     fan = parse_fan(data.text())
     assert validate_fan(fan).valid
+    assert fan.walls is None
     pairs = len(fan.maximal_cones) * (len(fan.maximal_cones) - 1) // 2
     assert len(calls) == len(fan.maximal_cones) + pairs == count
     maximal = [fan.cone(c) for c in fan.maximal_cones]
