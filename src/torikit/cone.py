@@ -3,13 +3,15 @@
 A cone is stored by its primitive generators.  One Smith normal form
 U G V = D of the generator rows G, the cone's chart, gives sigma^perp,
 smoothness and the dual basis.  One double description gives the facet
-normals, and the faces, the extreme rays and whether there is a vertex
-are read off them; with sigma^perp they generate the dual.  The double
-description can also cut a pointed cone it is given by more half-spaces,
-which is how a fan intersects two of its cones.  Hilbert bases of dual
-monoids come from the dual's image modulo sigma^perp, triangulated on its
-facet normals, by enumerating the half-open fundamental parallelepiped of
-each simplicial piece.
+normals, and with sigma^perp they generate the dual.  ``Cone.facets``
+maps each facet, as the set of generators on it, to its normal; the
+faces, the extreme rays and whether there is a vertex are read off those
+sets, and so are a fan's walls, its pair check and its completeness.  The
+double description can also cut a pointed cone it is given by more
+half-spaces, which is how a fan intersects two of its cones.  Hilbert
+bases of dual monoids come from the dual's image modulo sigma^perp,
+triangulated on its facet normals, by enumerating the half-open
+fundamental parallelepiped of each simplicial piece.
 """
 
 from __future__ import annotations
@@ -178,10 +180,15 @@ class Cone:
         return tuple(sorted(self.generators[min(s)] for s in faces if len(s) == 1))
 
     @cached_property
-    def _facets(self) -> set[frozenset[int]]:
-        """The facets as index sets into ``generators``: for each facet
-        normal, the generators on its hyperplane."""
-        return _facet_sets(self.generators, self.facet_normals)
+    def facets(self) -> dict[frozenset[int], Vector]:
+        """Each facet as the index set into ``generators`` of the generators
+        on its hyperplane, mapped to its normal, in ``facet_normals`` order.
+        Distinct facets hold distinct generator sets, as a face is generated
+        by the generators it contains."""
+        return {
+            frozenset(i for i, g in enumerate(self.generators) if pairing(a, g) == 0): a
+            for a in self.facet_normals
+        }
 
     @cached_property
     def _vertex(self) -> bool:
@@ -193,7 +200,7 @@ class Cone:
         a face is generated by the generators it contains; so if it is not
         0, some generator lies in it, and so on every facet.
         """
-        return not frozenset(range(len(self.generators))).intersection(*self._facets)
+        return not frozenset(range(len(self.generators))).intersection(*self.facets)
 
     def has_vertex(self) -> bool:
         """True iff sigma meets -sigma only in 0; decided once per cone."""
@@ -233,21 +240,13 @@ class Cone:
     def face_generator_sets(self) -> list[frozenset[int]]:
         """Faces as index sets into ``generators``, smallest first.
 
-        Every face of a pointed cone is an intersection of facets; facets
-        are read off as the generators tight on a facet normal.
+        Every face of a pointed cone is an intersection of facets, so
+        intersecting the faces found so far with each facet in turn finds
+        them all.
         """
-        full = frozenset(range(len(self.generators)))
-        faces = {full}
-        frontier = {full}
-        while frontier:
-            nxt = set()
-            for f in frontier:
-                for fs in self._facets:
-                    g = f & fs
-                    if g not in faces:
-                        faces.add(g)
-                        nxt.add(g)
-            frontier = nxt
+        faces = {frozenset(range(len(self.generators)))}
+        for facet in self.facets:
+            faces |= {f & facet for f in faces}
         return sorted(faces, key=lambda s: (len(s), sorted(s)))
 
     def hilbert_basis(self) -> list[Vector]:
@@ -317,16 +316,6 @@ def _hilbert_pointed(
     return sorted(basis)
 
 
-def _facet_sets(
-    gens: Sequence[Vector], normals: Sequence[Vector]
-) -> set[frozenset[int]]:
-    """For each normal, the indices of the generators on its hyperplane."""
-    return {
-        frozenset(i for i, g in enumerate(gens) if pairing(nu, g) == 0)
-        for nu in normals
-    }
-
-
 def _triangulate(
     gens: list[Vector], normals: list[Vector]
 ) -> list[list[Vector]]:
@@ -338,7 +327,10 @@ def _triangulate(
     face is simplicial when its size is its dimension.  Facets are visited
     in the order (size, sorted indices).
     """
-    facets = _facet_sets(gens, normals)
+    facets = {
+        frozenset(i for i, g in enumerate(gens) if pairing(nu, g) == 0)
+        for nu in normals
+    }
 
     def pull(face: frozenset[int], dim: int) -> list[list[Vector]]:
         rays = sorted(gens[i] for i in face)

@@ -14,15 +14,16 @@ the dual basis, X(T_sigma)) are kept on its ``Cone``.  Validation and the
 smoothness verdict are decided on the maximal cones, so a face needs no
 dual and no chart for them.  A fan of full-dimensional simplicial maximal
 cones is first certified valid and complete by wall crossing, one local
-check per facet on the facet normals the parse computed (``Fan.walls``);
-only when that fails or does not apply are pairs of maximal cones
-intersected.
+check per facet on the facet records the parse computed (``Cone.facets``,
+``Fan.walls``); only when that fails or does not apply are pairs of
+maximal cones intersected.
 """
 
 from __future__ import annotations
 
 import itertools
 import sys
+from collections import Counter
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -71,8 +72,13 @@ class Fan:
         self.cones: tuple[RaySet, ...] = tuple(
             sorted(objs, key=lambda c: (objs[c].dim, c))
         )
+        # a given cone that contains c contains c's first ray
+        containing: dict[int, list[frozenset[int]]] = {}
+        for c in given:
+            for i in c:
+                containing.setdefault(i, []).append(frozenset(c))
         self.maximal_cones: tuple[RaySet, ...] = tuple(
-            sorted(c for c in given if not any(set(c) < set(d) for d in given))
+            sorted(c for c in given if not any(d > set(c) for d in containing[c[0]]))
         ) or ((),)
         self.warnings = warnings or []
 
@@ -224,19 +230,18 @@ def _wall_certificate(fan: Fan) -> Optional[dict[RaySet, tuple[RaySet, RaySet]]]
     three checks of ``validate_fan`` hold; None otherwise, or when some
     maximal cone is not full dimensional and simplicial.
 
-    A full-dimensional simplicial cone has one facet normal per ray: the
-    one that is nonzero on that ray alone, whose facet is the other rays.
-    Its dual is generated by its facet normals, so they decide membership.
+    A full-dimensional simplicial cone has one facet per ray: the other
+    rays, off which that ray lies.  Its dual is generated by its facet
+    normals, so they decide membership.
     """
     n, maximal = fan.n, fan.maximal_cones
     if any(len(c) != n or fan.dim_of(c) != n for c in maximal):
         return None
     sides: dict[RaySet, list[tuple[RaySet, Vector, int]]] = {}
     for c in maximal:
-        k = fan.cone(c)
-        for a in k.facet_normals:
-            j = next(j for j, g in enumerate(k.generators) if pairing(a, g))
-            sides.setdefault(c[:j] + c[j + 1 :], []).append((c, a, c[j]))
+        for facet, a in fan.cone(c).facets.items():
+            [j] = set(range(n)) - facet
+            sides.setdefault(_face_rayset(c, facet), []).append((c, a, c[j]))
     walls = {}
     for wall, cones in sides.items():
         if len(cones) != 2:
@@ -279,8 +284,8 @@ def _check_pair(fan: Fan, c1: RaySet, c2: RaySet) -> list[RaySet]:
     processed, with the same tight sets at every ray.  The insertions of
     ``c2``'s generators then run as they would after those.
 
-    The smallest face of a cone that contains the intersection is cut out
-    by the facet normals vanishing on its rays.  It contains the
+    The smallest face of a cone that contains the intersection is the
+    meet of the facets whose normals vanish on its rays.  It contains the
     intersection and lies in the cone, so it is the intersection, which
     is then a face, iff it lies in the other cone.
     """
@@ -288,9 +293,10 @@ def _check_pair(fan: Fan, c1: RaySet, c2: RaySet) -> list[RaySet]:
     inter, _ = double_description(k2.dual_generators, fan.n, within=k1)
 
     def smallest_face_lies_in(k: Cone, other: Cone) -> bool:
-        normals = [a for a in k.facet_normals if not any(pairing(a, g) for g in inter)]
-        face = [g for g in k.generators if not any(pairing(a, g) for a in normals)]
-        return all(other.contains(g) for g in face)
+        face = frozenset(range(len(k.generators))).intersection(
+            *(f for f, a in k.facets.items() if not any(pairing(a, g) for g in inter))
+        )
+        return all(other.contains(k.generators[i]) for i in face)
 
     return [
         c
@@ -323,33 +329,30 @@ def is_smooth_fan(fan: Fan) -> bool:
 
 def incompleteness_reasons(fan: Fan) -> list[str]:
     """Why the support of the fan is not all of R^n (empty list = complete).
+    Raises ``ToricError`` unless the fan is valid.
 
-    For valid fans whose maximal cones are full dimensional, completeness
-    is equivalent to every codimension-one cone being a facet of exactly
-    two full-dimensional cones.  A fan that ``Fan.walls`` certifies is
+    For a valid fan whose maximal cones are full dimensional, completeness
+    is equivalent to every facet of a maximal cone being a facet of
+    exactly two maximal cones.  A fan that ``Fan.walls`` certifies is
     complete (see ``validate_fan``).
     """
+    require_valid(fan)
     if fan.walls is not None:
         return []
-    reasons = []
-    n_cones = [c for c in fan.cones if fan.dim_of(c) == fan.n]
-    for c in fan.maximal_cones:
-        d = fan.dim_of(c)
-        if d < fan.n:
-            reasons.append(
-                f"maximal cone {c} has dimension {d} < {fan.n}"
-            )
+    reasons = [
+        f"maximal cone {c} has dimension {fan.dim_of(c)} < {fan.n}"
+        for c in fan.maximal_cones
+        if fan.dim_of(c) < fan.n
+    ]
     if reasons:
         return reasons
-    for c in fan.cones:
-        if fan.dim_of(c) != fan.n - 1:
-            continue
-        count = sum(1 for d in n_cones if set(c) <= set(d))
+    borders = Counter(
+        _face_rayset(c, f) for c in fan.maximal_cones for f in fan.cone(c).facets
+    )
+    for c, count in sorted(borders.items()):
         if count != 2:
             label = f"cone {c}" if len(c) != 1 else f"ray {c[0]}"
-            reasons.append(
-                f"{label} borders {count} maximal cone(s), expected 2"
-            )
+            reasons.append(f"{label} borders {count} maximal cone(s), expected 2")
     return reasons
 
 
@@ -359,7 +362,6 @@ def is_complete(fan: Fan) -> bool:
 
 def require_complete(fan: Fan) -> None:
     """Raise unless the fan is valid and its support is all of R^n."""
-    require_valid(fan)
     reasons = incompleteness_reasons(fan)
     if reasons:
         raise CompletenessError("fan not complete: " + "; ".join(reasons))
@@ -465,7 +467,7 @@ def parse_fan(text: str) -> Fan:
         raise ParseError("rank must be at least 1", lineno)
 
     k = keyword_count("rays")
-    rays: list[Vector] = []
+    rays: dict[Vector, None] = {}
     warnings: list[str] = []
     for _ in range(k):
         lineno, toks = take("ray coordinates")
@@ -483,7 +485,7 @@ def parse_fan(text: str) -> Fan:
             )
         if p in rays:
             raise ParseError(f"duplicate ray {p}", lineno)
-        rays.append(p)
+        rays[p] = None
 
     m = keyword_count("maxcones")
     maxcones = []
@@ -499,7 +501,7 @@ def parse_fan(text: str) -> Fan:
 
     if pos != len(lines):
         raise ParseError("trailing content after maxcones", lines[pos][0])
-    return Fan(n, rays, maxcones, warnings)
+    return Fan(n, list(rays), maxcones, warnings)
 
 
 def _integers(tokens: list[str], message: str, lineno: int) -> list[int]:

@@ -41,9 +41,9 @@ def pairing(chi: Sequence[int], mu: Sequence[int]) -> int:
 
 def primitive(v: Sequence[int]) -> Vector:
     """v divided by the gcd of its entries; sign is preserved."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
+    g = gcd(*v)
+    if g == 1:
+        return tuple(v)
     if g == 0:
         raise ValueError("primitive of the zero vector")
     return tuple(x // g for x in v)

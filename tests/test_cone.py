@@ -103,6 +103,32 @@ def test_cutting_a_cone_matches_cutting_the_whole_space(data):
     assert set(rays) == set(double_description(sigma.dual_generators + tuple(ineqs), n)[0])
 
 
+def frontier_faces(cone):
+    """Faces as index sets into the generators, found by intersecting each
+    new face with every facet until no new face appears."""
+    full = frozenset(range(len(cone.generators)))
+    faces, frontier = {full}, {full}
+    while frontier:
+        frontier = {f & facet for f in frontier for facet in cone.facets} - faces
+        faces |= frontier
+    return sorted(faces, key=lambda s: (len(s), sorted(s)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_facet_record_matches_the_facet_normals(data):
+    """Each facet of ``Cone.facets`` is the set of generators on which its
+    normal vanishes, the normals are ``facet_normals`` in order, and the
+    faces are the frontier search's; cones without a vertex included."""
+    n = data.draw(st.integers(1, 4))
+    gens = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=n + 2))
+    cone = Cone([g for g in gens if any(g)], n)
+    for facet, a in cone.facets.items():
+        assert facet == {i for i, g in enumerate(cone.generators) if pairing(a, g) == 0}
+    assert tuple(cone.facets.values()) == cone.facet_normals
+    assert cone.face_generator_sets == frontier_faces(cone)
+
+
 def test_double_description_full_space():
     rays, lineality = double_description([], 2)
     assert list(rays) == []

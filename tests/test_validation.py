@@ -438,6 +438,8 @@ GATED = {
     "picard": picard,
     "divisor_class": lambda fan: divisor_class(fan, [0] * len(fan.rays)),
     "orbit_table": orbit_table,
+    "incompleteness_reasons": torikit.fan.incompleteness_reasons,
+    "is_complete": torikit.fan.is_complete,
 }
 
 
