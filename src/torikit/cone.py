@@ -9,9 +9,12 @@ faces, the extreme rays and whether there is a vertex are read off those
 sets, and so are a fan's walls, its pair check and its completeness.  The
 double description can also cut a pointed cone it is given by more
 half-spaces, which is how a fan intersects two of its cones.  Hilbert
-bases of dual monoids come from the dual's image modulo sigma^perp,
-triangulated on its facet normals, by enumerating the half-open
-fundamental parallelepiped of each simplicial piece.
+bases of dual monoids come from the dual's image modulo sigma^perp.  In
+dimension 2 that image's basis is its Hirzebruch-Jung continued fraction,
+walked from one ray to the other.  In higher dimension the image is
+triangulated on its facet normals and the half-open fundamental
+parallelepiped of each simplicial piece is enumerated, stepping from
+coset to coset of the lattice its rays span.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .lattice import (
     Matrix,
     QuotientLatticePresentation,
     Vector,
+    _bezout,
     diagonal_of,
     identity_matrix,
     mat_vec,
@@ -42,6 +46,10 @@ from .lattice import (
 # has |det| of them); those of the goldens and the benchmark have at most
 # a few hundred.
 MAX_PARALLELEPIPED_POINTS = 100_000
+# It refuses a 2-D dual with a longer Hilbert basis.  A 2-D cone of
+# determinant D has at most D + 1 basis elements, so every 2-D cone whose
+# parallelepiped the bound above lets through is answered.
+MAX_HILBERT_BASIS_SIZE = MAX_PARALLELEPIPED_POINTS + 1
 
 
 def double_description(
@@ -216,9 +224,13 @@ class Cone:
 
     def is_smooth(self) -> bool:
         """True iff the generators are part of a Z-basis of Y(T) (Cox, Little
-        and Schenck, *Toric Varieties*, Def. 1.2.16): the chart's D is [I | 0]."""
+        and Schenck, *Toric Varieties*, Def. 1.2.16): there are at most n of
+        them, which is checked before the chart is built, and the chart's D
+        is [I | 0]."""
+        if len(self.generators) > self.n:
+            return False
         _, d, _ = self._chart
-        return len(self.generators) <= self.n and all(x == 1 for x in diagonal_of(d))
+        return all(x == 1 for x in diagonal_of(d))
 
     @cached_property
     def dual_basis(self) -> Optional[tuple[Vector, ...]]:
@@ -289,7 +301,9 @@ def _hilbert_pointed(
 ) -> list[Vector]:
     """Hilbert basis of the pointed full-dimensional cone with extreme rays
     ``gens`` and facet normals ``normals``: x belongs iff <x, nu> >= 0.
-    Candidates are the generators plus the lattice points of the half-open
+
+    In dimension 2 the basis is walked (``_hirzebruch_jung``).  Otherwise
+    candidates are the generators plus the lattice points of the half-open
     parallelepipeds of a triangulation; reducible candidates (x - y stays
     in the cone for an accepted y) are discarded in increasing order of a
     strictly positive linear functional.  x - y lies in the cone exactly
@@ -300,6 +314,8 @@ def _hilbert_pointed(
         return []
     if len(gens) == 1:
         return [gens[0]]
+    if d == 2:
+        return _hirzebruch_jung(*gens)
     candidates = set(gens)
     for simplex in _triangulate(gens, normals):
         candidates.update(_parallelepiped_points(simplex))
@@ -313,6 +329,42 @@ def _hilbert_pointed(
         if not any(all(map(le, y, values)) for y in accepted):
             basis.append(x)
             accepted.append(values)
+    return sorted(basis)
+
+
+def _hirzebruch_jung(u: Vector, v: Vector) -> list[Vector]:
+    """Hilbert basis of the 2-D cone on the primitive rays ``u`` and ``v``.
+
+    With det(u, v) > 0 the basis is u = u_0, u_1, ..., u_k = v, where each
+    u_{i+1} is the lattice point with det(u_i, u_{i+1}) = 1 and
+    0 <= det(u_{i+1}, v) < det(u_i, v): these are the lattice points on
+    the compact edges of the convex hull of the cone's nonzero lattice
+    points (Oda, *Convex Bodies and Algebraic Geometry*, Sec. 1.6).  So
+    u_{i+1} = b_i u_i - u_{i-1} with b_i = ceil(r_{i-1} / r_i), where
+    r_i = det(u_i, v), and the walk stops at r_k = 0.  Raises ``ToricError``
+    once there are more than ``MAX_HILBERT_BASIS_SIZE`` elements.
+    """
+    r_u = u[0] * v[1] - u[1] * v[0]
+    if r_u < 0:
+        u, v, r_u = v, u, -r_u
+    # w with det(u, w) = 1, by extended Euclid on u's coprime entries
+    g, s, t = _bezout(u[0], u[1]) if u[0] else (u[1], 0, 1)
+    w = (-t * g, s * g)
+    r_w = w[0] * v[1] - w[1] * v[0]
+    k = -(r_w // r_u)  # the least k with det(w + k u, v) >= 0
+    prev, cur = u, (w[0] + k * u[0], w[1] + k * u[1])
+    r_prev, r_cur = r_u, r_w + k * r_u
+    basis = [prev, cur]
+    while r_cur:
+        b = -(-r_prev // r_cur)
+        prev, cur = cur, (b * cur[0] - prev[0], b * cur[1] - prev[1])
+        r_prev, r_cur = r_cur, b * r_cur - r_prev
+        basis.append(cur)
+        if len(basis) > MAX_HILBERT_BASIS_SIZE:
+            raise ToricError(
+                f"the dual cone has a Hilbert basis with more elements than the "
+                f"{MAX_HILBERT_BASIS_SIZE} torikit enumerates"
+            )
     return sorted(basis)
 
 
@@ -355,7 +407,12 @@ def _parallelepiped_points(cols: list[Vector]) -> list[Vector]:
     one per class of Z^d / G Z^d.  With U G V = D and e = d_last, the class
     z of sum Z/d_i is U w for a coset representative w, and
     G^-1 w = V D^-1 z; so t = (V (z_i e / d_i)) mod e is e times the
-    fractional part of G^-1 w, and the point is G t / e.  Raises
+    fractional part of G^-1 w, and the point is G t / e.
+
+    The classes are stepped through one invariant factor at a time,
+    carrying the pair (t, q = G t): a step in factor i adds
+    c_i = (V (e / d_i) e_i) mod e to t and the precomputed G c_i to q, and
+    each coordinate t_j that wraps past e takes e G e_j off q.  Raises
     ``ToricError`` when there are more than ``MAX_PARALLELEPIPED_POINTS``.
     """
     d = len(cols[0])
@@ -373,11 +430,22 @@ def _parallelepiped_points(cols: list[Vector]) -> list[Vector]:
             f"points, more than the {MAX_PARALLELEPIPED_POINTS} torikit enumerates"
         )
     e = diag[-1]
-    scale = [e // x for x in diag]
-    pts = []
-    for z in itertools.product(*[range(x) for x in diag]):
-        t = [x % e for x in mat_vec(v, [zi * s for zi, s in zip(z, scale)])]
-        if not any(t):
+    wraps = [tuple(e * x for x in col) for col in cols]
+    cosets = [((0,) * d, (0,) * d)]
+    for i, di in enumerate(diag):
+        if di == 1:
             continue
-        pts.append(tuple(sum(t[j] * row[j] for j in range(d)) // e for row in g))
-    return pts
+        c = tuple(row[i] * (e // di) % e for row in v)
+        gc = mat_vec(g, c)
+        steps = []
+        for t, q in cosets:
+            for _ in range(di - 1):
+                t = [a + b for a, b in zip(t, c)]
+                q = [a + b for a, b in zip(q, gc)]
+                for j, tj in enumerate(t):
+                    if tj >= e:
+                        t[j] = tj - e
+                        q = [a - b for a, b in zip(q, wraps[j])]
+                steps.append((t, q))
+        cosets += steps
+    return [tuple(x // e for x in q) for _, q in cosets[1:]]

@@ -333,8 +333,10 @@ def incompleteness_reasons(fan: Fan) -> list[str]:
 
     For a valid fan whose maximal cones are full dimensional, completeness
     is equivalent to every facet of a maximal cone being a facet of
-    exactly two maximal cones.  A fan that ``Fan.walls`` certifies is
-    complete (see ``validate_fan``).
+    exactly two maximal cones.  A facet is named by its extreme rays, the
+    generators on it that span a ray face of their maximal cone, since two
+    maximal cones may list different rays on the same facet.  A fan that
+    ``Fan.walls`` certifies is complete (see ``validate_fan``).
     """
     require_valid(fan)
     if fan.walls is not None:
@@ -346,9 +348,11 @@ def incompleteness_reasons(fan: Fan) -> list[str]:
     ]
     if reasons:
         return reasons
-    borders = Counter(
-        _face_rayset(c, f) for c in fan.maximal_cones for f in fan.cone(c).facets
-    )
+    borders: Counter[RaySet] = Counter()
+    for c in fan.maximal_cones:
+        cone = fan.cone(c)
+        extreme = frozenset(min(s) for s in cone.face_generator_sets if len(s) == 1)
+        borders.update(_face_rayset(c, f & extreme) for f in cone.facets)
     for c, count in sorted(borders.items()):
         if count != 2:
             label = f"cone {c}" if len(c) != 1 else f"ray {c[0]}"

@@ -10,7 +10,7 @@ import pytest
 
 import torikit.fan
 from torikit.cli import COMMANDS, main
-from torikit.cone import MAX_PARALLELEPIPED_POINTS
+from torikit.cone import MAX_HILBERT_BASIS_SIZE, MAX_PARALLELEPIPED_POINTS
 from torikit.errors import SmoothnessError
 from torikit.fan import parse_fan, require_smooth
 
@@ -362,21 +362,22 @@ def test_the_first_singular_cone_may_be_a_face(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "ray", ["100000000000000000000000000007 1", "10000001 1"], ids=["30-digit", "det-1e7"]
+    "entry", ["100000000000000000000000000007", "10000001"], ids=["30-digit", "det-1e7"]
 )
-def test_hilbert_refuses_a_huge_parallelepiped(ray, tmp_path):
+def test_hilbert_answers_a_huge_2d_determinant(entry, tmp_path):
+    # the 2-D dual is walked, so its determinant does not bound the work;
+    # its Hilbert basis has three elements
     f = tmp_path / "huge.fan"
-    f.write_text(f"rank 2\nrays 2\n{ray}\n0 1\nmaxcones 1\n0 1\n")
+    f.write_text(f"rank 2\nrays 2\n{entry} 1\n0 1\nmaxcones 1\n0 1\n")
     start = time.perf_counter()
     result = subprocess.run(
-        [sys.executable, "-m", "torikit.cli", "hilbert", str(f)],
+        [sys.executable, "-m", "torikit.cli", "hilbert", str(f), "--format", "json"],
         capture_output=True, text=True, cwd=ROOT, timeout=30,
     )
     elapsed = time.perf_counter() - start
-    assert result.returncode == 1
-    assert result.stdout == ""
-    assert result.stderr.startswith("error: Hilbert basis of cone (0, 1): ")
-    assert "Traceback" not in result.stderr
+    assert (result.returncode, result.stderr) == (0, "")
+    entries = {tuple(e["cone"]): e["hilbert_basis"] for e in json.loads(result.stdout)["cones"]}
+    assert entries[0, 1] == [[-1, int(entry)], [0, 1], [1, 0]]
     assert elapsed < 5, elapsed
 
 
@@ -484,13 +485,31 @@ def test_a_huge_ray_entry_is_not_smooth(command, tmp_path, capsys):
     assert elapsed < 2, elapsed
 
 
-def test_a_huge_ray_entry_names_the_parallelepiped_bound(tmp_path, capsys):
+def test_hilbert_refuses_a_huge_parallelepiped(tmp_path, capsys):
+    # the dual of the cone on e1, e2, (1, 1, 400) has a parallelepiped of
+    # 400^2 lattice points; its 2-D faces are walked and answered first
+    f = tmp_path / "huge.fan"
+    f.write_text("rank 3\nrays 3\n1 0 0\n0 1 0\n1 1 400\nmaxcones 1\n0 1 2\n")
+    code, out, err, elapsed = timed_main(["hilbert", str(f)], capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: Hilbert basis of cone (0, 1, 2): the dual cone has a fundamental "
+        f"parallelepiped with 160000 lattice points, more than the "
+        f"{MAX_PARALLELEPIPED_POINTS} torikit enumerates\n"
+    )
+    assert elapsed < 2, elapsed
+
+
+def test_a_huge_ray_entry_names_the_basis_size_bound(tmp_path, capsys):
+    # the dual of the cone (0, 2) has the 10^200 + 1 basis elements (k, -1)
     f = tmp_path / "p2_huge_ray.fan"
     f.write_text(P2_HUGE_RAY)
     code, out, err, elapsed = timed_main(["hilbert", str(f)], capsys)
     assert (code, out) == (1, "")
-    assert err.startswith("error: Hilbert basis of cone (0, 2): "), err
-    assert err.endswith(f"more than the {MAX_PARALLELEPIPED_POINTS} torikit enumerates\n"), err
+    assert err == (
+        "error: Hilbert basis of cone (0, 2): the dual cone has a Hilbert basis "
+        f"with more elements than the {MAX_HILBERT_BASIS_SIZE} torikit enumerates\n"
+    )
     assert elapsed < 2, elapsed
 
 

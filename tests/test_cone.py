@@ -1,15 +1,25 @@
 import itertools
 import random
 import sys
+from math import gcd
+from operator import le
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import torikit.cone
-from torikit.cone import Cone, double_description
-from torikit.errors import PointednessError
-from torikit.lattice import pairing, rank
+from torikit.cone import (
+    MAX_HILBERT_BASIS_SIZE,
+    Cone,
+    _hilbert_pointed,
+    _parallelepiped_points,
+    double_description,
+)
+from torikit.errors import PointednessError, ToricError
+from torikit.lattice import pairing, primitive, rank
+
+from conftest import oracles
 
 
 def brute_force_dual_check(cone, samples):
@@ -210,6 +220,16 @@ def test_is_smooth():
     assert not Cone([(1, 0), (1, 1), (0, 1)], 2).is_smooth()
 
 
+def test_more_generators_than_dimensions_is_not_smooth_without_a_chart(monkeypatch):
+    cone = Cone([(1, i) for i in range(50)], 2)
+
+    def no_chart(m):
+        raise AssertionError("a chart was built")
+
+    monkeypatch.setattr(torikit.cone, "smith_normal_form", no_chart)
+    assert not cone.is_smooth()
+
+
 def test_dual_basis():
     for gens in ([(1, 0), (1, 1)], [(2, 1, 0), (1, 1, 1)], [(1, 1)], []):
         cone = Cone(gens, len(gens[0]) if gens else 2)
@@ -375,3 +395,55 @@ def test_hilbert_basis_random_oracle():
         hilbert_oracle_check(random_full_dim_pointed_cone(rng, 2), radius=6)
     for i in range(4):
         hilbert_oracle_check(random_full_dim_pointed_cone(rng, 3), radius=4)
+
+
+@st.composite
+def primitive_2d_cones(draw, entry, max_det):
+    """Two primitive rays u, v of a 2-D cone with 0 < |det(u, v)| <= max_det,
+    and the cone's inward facet normals."""
+    coords = st.integers(-entry, entry)
+    u, v = (draw(st.tuples(coords, coords)) for _ in range(2))
+    det = u[0] * v[1] - u[1] * v[0]
+    assume(gcd(*u) == gcd(*v) == 1 and 0 < abs(det) <= max_det)
+    sign = 1 if det > 0 else -1
+    normals = [primitive((-sign * u[1], sign * u[0])), primitive((sign * v[1], -sign * v[0]))]
+    return [u, v], normals
+
+
+def enumerated_hilbert_basis(gens, normals):
+    """The generators and the parallelepiped's points, less those that an
+    accepted smaller candidate reduces (the enumeration of dimension >= 3)."""
+    candidates = set(gens) | set(_parallelepiped_points(gens))
+    ell = tuple(map(sum, zip(*normals)))
+    basis, accepted = [], []
+    for x in sorted(candidates, key=lambda x: (pairing(ell, x), x)):
+        values = [pairing(x, nu) for nu in normals]
+        if not any(all(map(le, y, values)) for y in accepted):
+            basis.append(x)
+            accepted.append(values)
+    return sorted(basis)
+
+
+@settings(max_examples=80, deadline=None)
+@given(primitive_2d_cones(entry=12, max_det=150))
+def test_the_2d_walk_matches_the_box_oracle(cone):
+    # the cone walked is the dual of the cone on its facet normals
+    gens, normals = cone
+    assert _hilbert_pointed(gens, normals, 2) == oracles.hilbert_box(normals)
+
+
+@settings(max_examples=80, deadline=None)
+@given(primitive_2d_cones(entry=100, max_det=10_000))
+def test_the_2d_walk_matches_the_enumeration(cone):
+    gens, normals = cone
+    assert _hilbert_pointed(gens, normals, 2) == enumerated_hilbert_basis(gens, normals)
+
+
+def test_the_2d_walk_bounds_the_basis_size():
+    # the cone on (0, 1) and (k, 1) has the k + 1 basis elements (i, 1)
+    k = MAX_HILBERT_BASIS_SIZE - 1
+    basis = _hilbert_pointed([(0, 1), (k, 1)], [(1, 0), (-1, k)], 2)
+    assert basis == [(i, 1) for i in range(k + 1)]
+    k += 1
+    with pytest.raises(ToricError, match=f"more elements than the {MAX_HILBERT_BASIS_SIZE} "):
+        _hilbert_pointed([(0, 1), (k, 1)], [(1, 0), (-1, k)], 2)

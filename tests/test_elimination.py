@@ -312,3 +312,22 @@ def test_parallelepiped_points_match_box_enumeration(cols):
     det = abs(as_sympy([list(c) for c in cols]).det())
     assert len(pts) == len(set(pts)) == det - 1
     assert set(pts) == box_points(cols)
+
+
+@pytest.mark.parametrize(
+    "cols",
+    [
+        [(2, 0, 0), (0, 2, 0), (0, 0, 2)],
+        [(3, 0, 0), (0, 3, 0), (1, 1, 1)],
+        [(2, 0, 0), (0, 4, 2), (0, 2, 4)],
+        [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (1, 1, 1, 1)],
+    ],
+    ids=["Z2^3", "Z3^2", "Z2xZ2xZ6", "Z2^3-in-4d"],
+)
+def test_parallelepiped_points_of_non_cyclic_groups(cols):
+    # Z^d / G Z^d has several nontrivial invariant factors, so the cosets
+    # are stepped through in more than one of them
+    pts = _parallelepiped_points(cols)
+    det = abs(as_sympy([list(c) for c in cols]).det())
+    assert len(pts) == len(set(pts)) == det - 1
+    assert set(pts) == box_points(cols)

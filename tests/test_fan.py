@@ -136,6 +136,25 @@ def test_incompleteness_reasons_mention_boundary():
     assert any("expected 2" in r or "dimension" in r for r in reasons)
 
 
+def test_completeness_names_facets_by_their_extreme_rays():
+    # P^3 with the cone (e1, e2, e3) listed with e1 + e2 as well: its facet
+    # (e1, e2, e1 + e2) is the facet (e1, e2) of the cone across it
+    fan = parse_fan(
+        "rank 3\nrays 5\n1 0 0\n0 1 0\n0 0 1\n-1 -1 -1\n1 1 0\n"
+        "maxcones 4\n0 1 2 4\n1 2 3\n0 2 3\n0 1 3\n"
+    )
+    assert validate_fan(fan).valid and not is_smooth_fan(fan)
+    assert incompleteness_reasons(fan) == []
+    # without the cone (1, 2, 3), each facet it shares is named once
+    fan = parse_fan(
+        "rank 3\nrays 5\n1 0 0\n0 1 0\n0 0 1\n-1 -1 -1\n1 1 0\n"
+        "maxcones 3\n0 1 2 4\n0 2 3\n0 1 3\n"
+    )
+    assert incompleteness_reasons(fan) == [
+        f"cone {c} borders 1 maximal cone(s), expected 2" for c in [(1, 2), (1, 3), (2, 3)]
+    ]
+
+
 def test_orbit_table_affine_plane(affine_plane):
     table = orbit_table(affine_plane)
     assert len(table) == 4
