@@ -128,15 +128,13 @@ class Cone:
         generators: Sequence[Sequence[int]],
         ambient_dim: int,
     ):
-        gens = []
+        gens: dict[Vector, None] = {}
         for g in generators:
             if len(g) != ambient_dim:
                 raise ValueError(
                     f"generator of length {len(g)} in ambient Z^{ambient_dim}"
                 )
-            p = primitive(g)
-            if p not in gens:
-                gens.append(p)
+            gens[primitive(g)] = None
         self.generators: tuple[Vector, ...] = tuple(gens)
         self.n = ambient_dim
 
@@ -145,8 +143,6 @@ class Cone:
 
     @cached_property
     def dim(self) -> int:
-        if not self.generators:
-            return 0
         return rank([list(g) for g in self.generators])
 
     @cached_property
@@ -305,10 +301,10 @@ def _hilbert_pointed(
     In dimension 2 the basis is walked (``_hirzebruch_jung``).  Otherwise
     candidates are the generators plus the lattice points of the half-open
     parallelepipeds of a triangulation; reducible candidates (x - y stays
-    in the cone for an accepted y) are discarded in increasing order of a
-    strictly positive linear functional.  x - y lies in the cone exactly
-    when y's values on ``normals`` are at most x's, so each candidate's
-    values are computed once.
+    in the cone for an accepted y) are discarded in increasing order of the
+    sum of their values on ``normals``, a linear functional positive on the
+    nonzero points of the cone.  x - y lies in the cone exactly when y's
+    values are at most x's, so each candidate's values are computed once.
     """
     if not gens:
         return []
@@ -320,15 +316,13 @@ def _hilbert_pointed(
     for simplex in _triangulate(gens, normals):
         candidates.update(_parallelepiped_points(simplex))
     candidates.discard((0,) * d)
-    ell = tuple(sum(nu[i] for nu in normals) for i in range(d))
-    ordered = sorted(candidates, key=lambda x: (pairing(ell, x), x))
+    values = {x: [pairing(x, nu) for nu in normals] for x in candidates}
     basis: list[Vector] = []
     accepted: list[list[int]] = []
-    for x in ordered:
-        values = [pairing(x, nu) for nu in normals]
-        if not any(all(map(le, y, values)) for y in accepted):
+    for x in sorted(candidates, key=lambda x: (sum(values[x]), x)):
+        if not any(all(map(le, y, values[x])) for y in accepted):
             basis.append(x)
-            accepted.append(values)
+            accepted.append(values[x])
     return sorted(basis)
 
 

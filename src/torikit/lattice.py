@@ -110,11 +110,10 @@ def smith_normal_form(
                         piv = (i, j)
             if piv is None:
                 return False
-            if piv != (t, t):
-                if piv[0] != t:
-                    swap_rows(t, piv[0])
-                if piv[1] != t:
-                    swap_cols(t, piv[1])
+            if piv[0] != t:
+                swap_rows(t, piv[0])
+            if piv[1] != t:
+                swap_cols(t, piv[1])
             clean = True
             for i in range(t + 1, rows):
                 if a[i][t] != 0:
@@ -324,8 +323,6 @@ def solve_integer(
     cols = len(m[0]) if rows else 0
     if len(b) != rows:
         raise ShapeError(f"system with {rows} rows and rhs of length {len(b)}")
-    if rows == 0:
-        return (0,) * cols
     u, d, v = smith_normal_form(m)
     c = mat_vec(u, b)
     diag = diagonal_of(d)
@@ -344,10 +341,7 @@ def solve_integer(
 
 def kernel_basis(m: Sequence[Sequence[int]]) -> list[Vector]:
     """Lattice basis of {x in Z^c : M x = 0} (a saturated sublattice)."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    if rows == 0:
-        return [tuple(int(i == j) for i in range(cols)) for j in range(cols)]
+    cols = len(m[0]) if m else 0
     _, d, v = smith_normal_form(m)
     diag = diagonal_of(d)
     free = [j for j in range(cols) if j >= len(diag) or diag[j] == 0]

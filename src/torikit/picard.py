@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import IncompatibleFamilyError
-from .fan import Fan, require_smooth
+from .fan import Fan, RaySet, require_smooth
 from .lattice import Vector, pairing, quotient_by_sublattice, solve_integer
 from .stratification import dual_basis_character
 
@@ -32,17 +32,18 @@ class CharacterFamily(NamedTuple):
     chars: tuple[Vector, ...]  # parallel to fan.maximal_cones
 
     def check_compatible(self) -> None:
+        """Raise unless the classes agree on each pairwise intersection: the
+        cones through each ray v agree on <chi_sigma, mu_v>."""
         fan = self.fan
-        maxc = fan.maximal_cones
-        for i in range(len(maxc)):
-            for j in range(i + 1, len(maxc)):
-                common = tuple(sorted(set(maxc[i]) & set(maxc[j])))
-                diff = tuple(
-                    a - b for a, b in zip(self.chars[i], self.chars[j])
-                )
-                if any(pairing(diff, fan.rays[v]) != 0 for v in common):
+        first: dict[int, tuple[RaySet, int]] = {}
+        for c, chi in zip(fan.maximal_cones, self.chars):
+            for v in c:
+                value = pairing(chi, fan.rays[v])
+                d, expected = first.setdefault(v, (c, value))
+                if value != expected:
+                    common = tuple(sorted(set(d) & set(c)))
                     raise IncompatibleFamilyError(
-                        f"classes on cones {maxc[i]} and {maxc[j]} disagree "
+                        f"classes on cones {d} and {c} disagree "
                         f"on their intersection {common}"
                     )
 

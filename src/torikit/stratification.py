@@ -80,7 +80,7 @@ def stratify(fan: Fan) -> Stratification:
     strata = []
     for c in fan.cones:  # already sorted by (dim, rays): prefixes are subfans
         weights = tuple(dual_basis_character(fan, c, v) for v in c)
-        strata.append(Stratum(rayset=c, codim=fan.dim_of(c), normal_weights=weights))
+        strata.append(Stratum(rayset=c, codim=fan.cone(c).dim, normal_weights=weights))
     return Stratification(fan=fan, strata=tuple(strata))
 
 
@@ -120,7 +120,7 @@ def equivariant_poincare_series(fan: Fan) -> PoincareSeries:
     n = fan.n
     f = [0] * (n + 1)
     for c in fan.cones:
-        f[fan.dim_of(c)] += 1
+        f[fan.cone(c).dim] += 1
     num = [0] * (2 * n + 1)
     for i in range(n + 1):
         num[2 * i] = sum(f[d] * (-1) ** (i - d) * comb(n - d, i - d) for d in range(i + 1))

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import time
 from math import gcd
 from operator import le
 
@@ -41,6 +42,21 @@ def brute_force_dual_check(cone, samples):
 
 def box(n, radius):
     return list(itertools.product(range(-radius, radius + 1), repeat=n))
+
+
+def test_zero_cone_has_dimension_zero():
+    for n in (1, 2, 3):
+        assert Cone([], n).dim == 0
+
+
+def test_generators_are_deduplicated_in_linear_time():
+    assert Cone([(2, 4), (0, 1), (1, 2), (0, 3)], 2).generators == ((1, 2), (0, 1))
+    with pytest.raises(ValueError, match="zero vector"):
+        Cone([(1, 0), (0, 0), (1,)], 2)
+    start = time.perf_counter()
+    cone = Cone([(1, i) for i in range(10_000)], 2)
+    assert time.perf_counter() - start < 0.5
+    assert len(cone.generators) == 10_000
 
 
 def test_dual_of_quadrant():
@@ -395,6 +411,12 @@ def test_hilbert_basis_random_oracle():
         hilbert_oracle_check(random_full_dim_pointed_cone(rng, 2), radius=6)
     for i in range(4):
         hilbert_oracle_check(random_full_dim_pointed_cone(rng, 3), radius=4)
+    # duals with 4 and 5 rays are not simplicial, so they are triangulated
+    for rays in (4, 4, 4, 5, 5):
+        cone = random_full_dim_pointed_cone(rng, 3)
+        while len(cone.extreme_rays) != rays:
+            cone = random_full_dim_pointed_cone(rng, 3)
+        hilbert_oracle_check(cone, radius=4)
 
 
 @st.composite

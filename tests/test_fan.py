@@ -57,7 +57,7 @@ def test_duplicate_rays_rejected():
 
 
 def test_cones_sorted_by_dimension(p2):
-    dims = [p2.dim_of(c) for c in p2.cones]
+    dims = [p2.cone(c).dim for c in p2.cones]
     assert dims == sorted(dims)
     assert p2.cones[0] == ()
 

@@ -148,6 +148,8 @@ def test_solve_integer():
     # underdetermined but solvable
     sol = solve_integer([[1, 1, 1]], [3])
     assert sol is not None and sum(sol) == 3
+    # no rows means no columns
+    assert solve_integer([], []) == ()
 
 
 def test_solve_integer_random_roundtrip():
@@ -169,6 +171,7 @@ def test_kernel_basis():
     for v in ker:
         assert sum(v) == 0
     assert kernel_basis([[1, 0], [0, 1]]) == []
+    assert kernel_basis([]) == []
     # saturation: kernel of [[2, 4]] is generated by (2, -1), not (4, -2)
     ker = kernel_basis([[2, 4]])
     assert len(ker) == 1

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import random
+import re
 import sys
 from collections import Counter
 from functools import partial
@@ -8,6 +10,8 @@ from math import gcd, prod
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torikit.cone
 import torikit.fan
@@ -138,6 +142,48 @@ def test_incompatible_family_rejected(p2):
     fam = CharacterFamily(p2, tuple(chars))
     with pytest.raises(IncompatibleFamilyError):
         fam.check_compatible()
+
+
+def pairwise_disagreement(fam):
+    """The first pair of maximal cones, in index order, whose classes differ
+    on a ray of their intersection; None when the family is compatible."""
+    fan, maxc = fam.fan, fam.fan.maximal_cones
+    for i, j in combinations(range(len(maxc)), 2):
+        diff = [a - b for a, b in zip(fam.chars[i], fam.chars[j])]
+        if any(pairing(diff, fan.rays[v]) for v in set(maxc[i]) & set(maxc[j])):
+            return maxc[i], maxc[j]
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(0, 8), seed=st.integers(0, 3), data=st.data())
+def test_check_compatible_matches_the_pairwise_rule(k, seed, data):
+    """One pass keyed by ray gives the verdict of checking every pair of
+    maximal cones, on a basis family with at most one character moved,
+    and names two cones that do disagree on their intersection."""
+    data_k = fans.relabel(fans.iterated_blowup_p2(k), random.Random(seed))
+    fan = parse_fan(data_k.text())
+    basis = picard(fan).equivariant_basis
+    chars = list(basis[data.draw(st.integers(0, len(basis) - 1))].chars)
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(chars) - 1))
+        shift = data.draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+        chars[i] = tuple(a + b for a, b in zip(chars[i], shift))
+    fam = CharacterFamily(fan, tuple(chars))
+    if pairwise_disagreement(fam) is None:
+        fam.check_compatible()
+        return
+    with pytest.raises(IncompatibleFamilyError) as err:
+        fam.check_compatible()
+    named = re.fullmatch(
+        r"classes on cones (.+) and (.+) disagree on their intersection (.+)",
+        str(err.value),
+    )
+    b, c, common = map(ast.literal_eval, named.groups())
+    assert common == tuple(sorted(set(b) & set(c)))
+    chi_b, chi_c = (chars[fan.maximal_cones.index(x)] for x in (b, c))
+    diff = [x - y for x, y in zip(chi_b, chi_c)]
+    assert any(pairing(diff, fan.rays[v]) for v in common)
 
 
 def test_family_arithmetic(p1xp1):

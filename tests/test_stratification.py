@@ -96,7 +96,7 @@ def test_stratum_weight_count(p2):
     strat = stratify(p2)
     for s in strat.strata:
         assert len(s.normal_weights) == len(s.rayset)
-        assert s.codim == p2.dim_of(s.rayset)
+        assert s.codim == p2.cone(s.rayset).dim
 
 
 def test_perfection_certified_on_golden_fans():
@@ -160,7 +160,7 @@ def test_ordinary_polynomial_palindromic_and_euler():
         assert p == p[::-1]  # Poincare duality
         # Euler characteristic = number of top-dimensional cones
         assert sum(p) == len(
-            [c for c in fan.cones if fan.dim_of(c) == fan.n]
+            [c for c in fan.cones if fan.cone(c).dim == fan.n]
         )
 
 

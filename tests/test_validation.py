@@ -91,10 +91,10 @@ def complete_by_facet_count(fan: Fan) -> bool:
     """For a valid fan: every maximal cone is full dimensional and every
     cone of dimension n - 1 lies in exactly two of them."""
     top = [set(c) for c in fan.maximal_cones]
-    return all(fan.dim_of(c) == fan.n for c in fan.maximal_cones) and all(
+    return all(fan.cone(c).dim == fan.n for c in fan.maximal_cones) and all(
         sum(set(c) <= d for d in top) == 2
         for c in fan.cones
-        if fan.dim_of(c) == fan.n - 1
+        if fan.cone(c).dim == fan.n - 1
     )
 
 
@@ -221,7 +221,7 @@ def test_maximal_cones_replaced_by_a_facet_agree(data, draw):
             facets = [
                 f
                 for f in full.cones
-                if set(f) < set(c) and full.dim_of(f) == full.dim_of(c) - 1
+                if set(f) < set(c) and full.cone(f).dim == full.cone(c).dim - 1
             ]
             c = draw.draw(st.sampled_from(facets))
         cones.append(c)
