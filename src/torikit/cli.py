@@ -9,15 +9,20 @@ exit code.
 
 Exit codes: 0 success, 1 validation or mathematical-precondition failure,
 2 input/parse error.  Output is deterministic; --format json emits the
-schema documented in the README.
+schema documented in the README, as exactly the text of
+``json.dumps(payload, sort_keys=True, indent=2)``: ASCII with ``\\u``
+escapes, a 2-space indent and one scalar per line.  ``_dumps`` writes that
+text without the standard library's pure-Python encoder, which ``indent``
+selects.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from . import rings, stratification
 from .picard import picard as compute_picard
@@ -189,10 +194,9 @@ def cmd_hilbert(fan: Fan, args: argparse.Namespace) -> Result:
             basis = fan.cone(c).hilbert_basis()
         except ToricError as exc:
             raise ToricError(f"Hilbert basis of cone {c}: {exc}") from exc
-        entries.append(
-            {"cone": list(c), "hilbert_basis": [list(h) for h in basis]}
-        )
-        lines.append(f"cone {list(c)}: {[list(h) for h in basis]}")
+        rows = [list(h) for h in basis]
+        entries.append({"cone": list(c), "hilbert_basis": rows})
+        lines.append(f"cone {list(c)}: {rows}")
     return {"command": "hilbert", "cones": entries}, lines, EXIT_OK
 
 
@@ -230,6 +234,50 @@ def cmd_certify(fan: Fan, args: argparse.Namespace) -> Result:
     ]
     ok = perfection.certified and injective
     return payload, lines, EXIT_OK if ok else EXIT_PRECONDITION
+
+
+def _dumps(x, nl: str = "\n") -> str:
+    """``json.dumps(x, sort_keys=True, indent=2)`` for the values payloads
+    hold: dicts with str keys, lists, str, int, bool and None; any other
+    type raises ``TypeError``.  ``nl`` is the newline and indent of the
+    line ``x`` starts on.  A flat list of ints, and a list of int lists of
+    one length (characters, Hilbert basis vectors, cones), are each
+    rendered by one C-level join or ``%`` format."""
+    t = type(x)
+    if t is list:
+        if not x:
+            return "[]"
+        nl1 = nl + "  "
+        kinds = set(map(type, x))
+        if kinds == {int}:
+            return "[" + nl1 + ("," + nl1).join(map(int.__repr__, x)) + nl + "]"
+        if kinds == {list} and len(set(map(len, x))) == 1 and x[0]:
+            flat = tuple(chain.from_iterable(x))
+            if set(map(type, flat)) == {int}:
+                nl2 = nl1 + "  "
+                row = "[" + nl2 + ("," + nl2).join(["%d"] * len(x[0])) + nl1 + "]"
+                return ("[" + nl1 + ("," + nl1).join([row] * len(x)) + nl + "]") % flat
+        return "[" + nl1 + ("," + nl1).join([_dumps(v, nl1) for v in x]) + nl + "]"
+    if t is dict:
+        if not x:
+            return "{}"
+        if set(map(type, x)) != {str}:
+            raise TypeError("JSON object keys must be str")
+        nl1 = nl + "  "
+        return "{" + nl1 + ("," + nl1).join(
+            [encode_basestring_ascii(k) + ": " + _dumps(x[k], nl1) for k in sorted(x)]
+        ) + nl + "}"
+    if t is str:
+        return encode_basestring_ascii(x)
+    if t is int:
+        return int.__repr__(x)
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if x is None:
+        return "null"
+    raise TypeError(f"Object of type {t.__name__} is not emitted as JSON")
 
 
 COMMANDS = {
@@ -294,11 +342,21 @@ def main(argv: list[str] | None = None) -> int:
             require_valid(fan)
         payload, lines, code = COMMANDS[args.command](fan, args)
         if args.format == "json":
-            print(json.dumps(payload, sort_keys=True, indent=2))
+            print(_dumps(payload))
         else:
             for line in lines:
                 print(line)
         return code
+    except ValueError as exc:
+        # int -> str refuses more than sys.get_int_max_str_digits() digits
+        if "integer string conversion" not in str(exc):
+            raise
+        print(
+            "error: an output integer has more digits than Python converts to text; "
+            f"Python's limit is {sys.get_int_max_str_digits()}",
+            file=sys.stderr,
+        )
+        return EXIT_PRECONDITION
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

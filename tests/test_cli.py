@@ -284,6 +284,33 @@ def test_an_integer_past_the_digit_limit_names_the_limit(tmp_path):
     assert elapsed < 2, elapsed
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["picard", "--format", "json"], ["hilbert"], ["hilbert", "--format", "json"]],
+    ids=" ".join,
+)
+def test_an_output_integer_past_the_digit_limit_names_the_limit(args, tmp_path, capsys):
+    # P^3 with its rays mapped by the unimodular [[1, N, 0], [0, 1, N],
+    # [0, 0, 1]]: every input entry has at most 2 501 digits, but the dual
+    # basis, printed by picard and hilbert, has entries near N^2
+    N = 10**2500 + 7
+    rays = [(1, 0, 0), (N, 1, 0), (0, N, 1), (-1 - N, -1 - N, -1)]
+    f = tmp_path / "p3_huge.fan"
+    f.write_text(
+        "rank 3\nrays 4\n"
+        + "".join(" ".join(map(str, v)) + "\n" for v in rays)
+        + "maxcones 4\n0 1 2\n0 1 3\n0 2 3\n1 2 3\n"
+    )
+    code, out, err, elapsed = timed_main([args[0], str(f), *args[1:]], capsys)
+    assert (code, out) == (1, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == (
+        "error: an output integer has more digits than Python converts to text; "
+        f"Python's limit is {limit}\n"
+    )
+    assert elapsed < 2, elapsed
+
+
 def test_ring_relations_on_an_unused_ray(tmp_path, capsys):
     f = tmp_path / "p2_unused_ray.fan"
     f.write_text(P2_UNUSED_RAY)
