@@ -79,21 +79,13 @@ def cmd_orbits(fan: Fan, args: argparse.Namespace) -> Result:
             {
                 "cone": list(e.rayset),
                 "codim": e.codim,
-                "stabilizer": {
-                    "rank": e.stabilizer.rank,
-                    "torsion": list(e.stabilizer.torsion),
-                },
+                "stabilizer": {"rank": e.codim, "torsion": []},
                 "divisors": list(e.divisors),
             }
         )
-        tors = (
-            ""
-            if not e.stabilizer.torsion
-            else f" torsion {list(e.stabilizer.torsion)}"
-        )
         lines.append(
             f"  orbit of cone {list(e.rayset)}: codim {e.codim}, "
-            f"stabilizer character rank {e.stabilizer.rank}{tors}, "
+            f"stabilizer character rank {e.codim}, "
             f"in divisors {list(e.divisors)}"
         )
     return {"command": "orbits", "orbits": entries}, lines, EXIT_OK

@@ -10,13 +10,14 @@ complete, one.  ``require_valid``, ``require_smooth`` and
 ``require_complete`` enforce that policy for the whole package; the
 verdict of ``validate_fan`` is computed once per fan and kept as
 ``Fan.validation``.  The lattice data of a cone (sigma^perp, smoothness,
-the dual basis, X(T_sigma)) are kept on its ``Cone``.  Validation and the
-smoothness verdict are decided on the maximal cones, so a face needs no
-dual and no chart for them.  A fan of full-dimensional simplicial maximal
-cones is first certified valid and complete by wall crossing, one local
-check per facet on the facet records the parse computed (``Cone.facets``,
-``Fan.walls``); only when that fails or does not apply are pairs of
-maximal cones intersected.
+the dual basis, X(T_sigma)) are kept on its ``Cone``; the orbit table
+needs none of them, as X(T_sigma) is free of rank dim sigma.  Validation
+and the smoothness verdict are decided on the maximal cones, so a face
+needs no dual and no chart for them.  A fan of full-dimensional
+simplicial maximal cones is first certified valid and complete by wall
+crossing, one local check per facet on the facet records the parse
+computed (``Cone.facets``, ``Fan.walls``); only when that fails or does
+not apply are pairs of maximal cones intersected.
 """
 
 from __future__ import annotations
@@ -116,7 +117,8 @@ class Fan:
 
     def stabilizer_characters(self, rayset: Iterable[int]) -> QuotientLatticePresentation:
         """X(T_sigma) = X(T) / (sigma^perp intersect X(T)), kept on the
-        cone; raises ``KeyError`` for a ray set that is not a cone."""
+        cone; raises ``KeyError`` for a ray set that is not a cone.  The
+        package reads the cone's own; ``perfbench`` traces this name."""
         return self.cone(rayset).stabilizer_characters
 
 
@@ -371,22 +373,17 @@ def require_complete(fan: Fan) -> None:
 class OrbitEntry(NamedTuple):
     rayset: RaySet
     codim: int
-    stabilizer: QuotientLatticePresentation
     divisors: RaySet  # rays v with D_v containing the orbit closure
 
 
 def orbit_table(fan: Fan) -> tuple[OrbitEntry, ...]:
-    """One orbit per cone; codimension = cone dimension; stabilizers via
-    X(T_sigma) = X(T)/(sigma^perp intersect X(T))."""
+    """One orbit per cone; codimension = cone dimension, which is also the
+    rank of X(T_sigma) = X(T)/(sigma^perp intersect X(T)): it is free, as
+    sigma^perp intersect X(T) is saturated (presented by
+    ``fan.cone(c).stabilizer_characters``)."""
     require_valid(fan)
     return tuple(
-        OrbitEntry(
-            rayset=c,
-            codim=fan.cone(c).dim,
-            stabilizer=fan.stabilizer_characters(c),
-            divisors=c,
-        )
-        for c in fan.cones
+        OrbitEntry(rayset=c, codim=fan.cone(c).dim, divisors=c) for c in fan.cones
     )
 
 

@@ -101,13 +101,14 @@ def smith_normal_form(
     def reduce_at(t):
         """Diagonalize position t against the trailing submatrix."""
         while True:
-            piv = None
+            piv, best = None, 0
             for i in range(t, rows):
                 for j in range(t, cols):
-                    if a[i][j] != 0 and (
-                        piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])
-                    ):
-                        piv = (i, j)
+                    x = abs(a[i][j])
+                    if x and (piv is None or x < best):
+                        piv, best = (i, j), x
+                if best == 1:  # no nonzero entry is below 1
+                    break
             if piv is None:
                 return False
             if piv[0] != t:

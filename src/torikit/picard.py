@@ -21,7 +21,6 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import IncompatibleFamilyError
 from .fan import Fan, RaySet, require_smooth
 from .lattice import Vector, pairing, quotient_by_sublattice, solve_integer
-from .stratification import dual_basis_character
 
 
 class CharacterFamily(NamedTuple):
@@ -85,15 +84,9 @@ def picard(fan: Fan) -> PicardReport:
     maxc = fan.maximal_cones
     used = sorted({v for c in maxc for v in c})
     zero = (0,) * fan.n
+    duals = [dict(zip(c, fan.cone(c).dual_basis)) for c in maxc]
     families = tuple(
-        CharacterFamily(
-            fan,
-            tuple(
-                dual_basis_character(fan, c, v) if v in c else zero
-                for c in maxc
-            ),
-        )
-        for v in used
+        CharacterFamily(fan, tuple(d.get(v, zero) for d in duals)) for v in used
     )
     ordinary = quotient_by_sublattice(
         len(used), [[fan.rays[v][t] for v in used] for t in range(fan.n)]

@@ -272,7 +272,7 @@ def restriction_map(
     X(T_sigma) (exponent-vector keyed, integer coefficients).
     """
     key = tuple(sorted(rayset))
-    pres = fan.stabilizer_characters(key)
+    pres = fan.cone(key).stabilizer_characters
     d = pres.rank
     out: MVPoly = {}
     rayset_set = set(key)

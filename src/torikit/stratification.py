@@ -79,8 +79,8 @@ def stratify(fan: Fan) -> Stratification:
     require_smooth(fan)
     strata = []
     for c in fan.cones:  # already sorted by (dim, rays): prefixes are subfans
-        weights = tuple(dual_basis_character(fan, c, v) for v in c)
-        strata.append(Stratum(rayset=c, codim=fan.cone(c).dim, normal_weights=weights))
+        cone = fan.cone(c)
+        strata.append(Stratum(rayset=c, codim=cone.dim, normal_weights=cone.dual_basis))
     return Stratification(fan=fan, strata=tuple(strata))
 
 
@@ -123,7 +123,9 @@ def equivariant_poincare_series(fan: Fan) -> PoincareSeries:
         f[fan.cone(c).dim] += 1
     num = [0] * (2 * n + 1)
     for i in range(n + 1):
-        num[2 * i] = sum(f[d] * (-1) ** (i - d) * comb(n - d, i - d) for d in range(i + 1))
+        num[2 * i] = sum(
+            f[d] * (-1) ** (i - d) * comb(n - d, i - d) for d in range(i + 1) if f[d]
+        )
     while len(num) > 1 and num[-1] == 0:
         num.pop()
     return PoincareSeries(tuple(num), n)

@@ -408,12 +408,12 @@ def test_hilbert_answers_a_huge_2d_determinant(entry, tmp_path):
     assert elapsed < 5, elapsed
 
 
-# The cones each command charts: stratify reads the dual basis, and orbits
-# the stabilizer, of every cone; Picard and the gates need only the maximal
-# cones.
+# The cones each command charts: stratify reads the dual basis of every
+# cone; Picard and the gates need only the maximal cones; orbits needs no
+# chart, as X(T_sigma) is free of rank dim sigma.
 ONE_CHART_CASES = {
     "certify": (fans.projective_space(3), ["--max-degree", "10"], "cones"),
-    "orbits": (fans.blow_up_points(fans.projective_space(3), 2), [], "cones"),
+    "orbits": (fans.blow_up_points(fans.projective_space(3), 2), [], "none"),
     "picard": (fans.iterated_blowup_p2(22), [], "maximal"),
 }
 
@@ -422,7 +422,7 @@ ONE_CHART_CASES = {
 def test_each_cone_makes_one_smith_normal_form(command, tmp_path, monkeypatch, capsys):
     """Every Smith normal form comes from a cone's chart, one per nonzero
     cone it needs, or from a quotient lattice presentation; nothing solves
-    a system or takes a kernel."""
+    a system or takes a kernel, and orbits makes no Smith normal form."""
     data, options, charted = ONE_CHART_CASES[command]
     f = tmp_path / "fan.fan"
     f.write_text(data.text())
@@ -446,6 +446,9 @@ def test_each_cone_makes_one_smith_normal_form(command, tmp_path, monkeypatch, c
                     monkeypatch.setattr(module, name, partial(counting, name, fn))
     assert main([command, str(f)] + options) == 0
     capsys.readouterr()
+    if charted == "none":
+        assert calls == Counter(), calls
+        return
     assert {name for name, _ in calls} == {"smith_normal_form"}, calls
     assert {caller for _, caller in calls} <= {"_chart", "quotient_by_sublattice"}
     cones = len(data.cones()) - 1 if charted == "cones" else len(data.maxcones)
@@ -485,6 +488,26 @@ def test_a_huge_rank_names_the_coordinate_count(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err == "error: line 3: expected 100000000 coordinates, got 2\n"
     assert elapsed < 2, elapsed
+
+
+EMPTY_FAN_OF_RANK_1000 = {
+    "validate": "valid, smooth, not complete\n",
+    "orbits": "1 orbits\n  orbit of cone []: codim 0, stabilizer character rank 0, in divisors []\n",
+    "betti": ", ".join(["1"] + ["0"] * 20) + "\n",
+    "picard": "Pic rank 0, torsion none; Pic_T rank 0\n",
+    "certify": "perfection: certified\nrestriction injectivity: holds in all degrees <= 20\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(EMPTY_FAN_OF_RANK_1000))
+def test_the_empty_fan_of_rank_1000(command, tmp_path, capsys):
+    # one orbit, the torus; nothing may take a Smith normal form of the
+    # 1000 x 1000 identity or sum over the dimensions that hold no cone
+    f = tmp_path / "empty.fan"
+    f.write_text("rank 1000\nrays 0\nmaxcones 0\n")
+    code, out, err, elapsed = timed_main([command, str(f)], capsys)
+    assert (code, out, err) == (0, EMPTY_FAN_OF_RANK_1000[command], "")
+    assert elapsed < 3, elapsed
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))

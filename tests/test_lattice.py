@@ -73,6 +73,97 @@ def test_snf_rectangular_shapes():
             assert_snf_contract(random_matrix(rng, rows, cols))
 
 
+def full_scan_snf(m):
+    """Reference for ``smith_normal_form``: the same operations, with every
+    pivot found by scanning the whole trailing submatrix."""
+    a = [list(row) for row in m]
+    rows, cols = len(a), len(a[0]) if a else 0
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def row_op(i, j, q):
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def col_op(i, j, q):
+        for row in a + v:
+            row[i] -= q * row[j]
+
+    def reduce_at(t):
+        while True:
+            piv = None
+            for i in range(t, rows):
+                for j in range(t, cols):
+                    if a[i][j] != 0 and (
+                        piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])
+                    ):
+                        piv = (i, j)
+            if piv is None:
+                return False
+            a[t], a[piv[0]] = a[piv[0]], a[t]
+            u[t], u[piv[0]] = u[piv[0]], u[t]
+            for row in a + v:
+                row[t], row[piv[1]] = row[piv[1]], row[t]
+            clean = True
+            for i in range(t + 1, rows):
+                if a[i][t] != 0:
+                    row_op(i, t, a[i][t] // a[t][t])
+                    clean = clean and a[i][t] == 0
+            for j in range(t + 1, cols):
+                if a[t][j] != 0:
+                    col_op(j, t, a[t][j] // a[t][t])
+                    clean = clean and a[t][j] == 0
+            if clean:
+                return True
+
+    limit = min(rows, cols)
+    t = 0
+    while t < limit and reduce_at(t):
+        t += 1
+    changed = True
+    while changed:
+        changed = False
+        for i in range(limit - 1):
+            di, dj = a[i][i], a[i + 1][i + 1]
+            if dj != 0 and (di == 0 or dj % di != 0):
+                col_op(i, i + 1, -1)
+                k = i
+                while k < limit and reduce_at(k):
+                    k += 1
+                changed = True
+                break
+    for i in range(limit):
+        if a[i][i] < 0:
+            a[i] = [-x for x in a[i]]
+            u[i] = [-x for x in u[i]]
+    return u, a, v
+
+
+@st.composite
+def snf_inputs(draw):
+    """Small integer matrices, half with no entry of absolute value 1 and
+    half with a unit placed off the diagonal."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    units = draw(st.booleans())
+    entry = st.integers(-40, 40)
+    if not units:
+        entry = entry.filter(lambda x: abs(x) != 1)
+    m = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    off_diagonal = [(i, j) for i in range(rows) for j in range(cols) if i != j]
+    if units and off_diagonal:
+        i, j = draw(st.sampled_from(off_diagonal))
+        m[i][j] = draw(st.sampled_from([1, -1]))
+    return m
+
+
+@settings(max_examples=400)
+@given(snf_inputs())
+def test_snf_pivot_scan_matches_the_full_scan(m):
+    # stopping the scan at the first unit takes the same pivot, so U, D
+    # and V are identical
+    assert smith_normal_form(m) == full_scan_snf(m)
+
+
 @given(
     st.lists(st.integers(-50, 50), min_size=3, max_size=3),
     st.lists(st.integers(-50, 50), min_size=3, max_size=3),

@@ -411,8 +411,8 @@ def test_parse_and_validate_make_one_double_description_per_cone_and_pair(
 )
 def test_faces_get_no_dual_and_no_chart_from_the_gates(monkeypatch, data):
     """On a smooth fan the smoothness gate charts only the maximal cones,
-    and the orbit table reads each stabilizer off a chart, with no double
-    description."""
+    and the orbit table reads each cone's dimension, with no chart and no
+    double description."""
     fan = parse_fan(data.text())
     torikit.fan.require_smooth(fan)
 
@@ -425,7 +425,7 @@ def test_faces_get_no_dual_and_no_chart_from_the_gates(monkeypatch, data):
     monkeypatch.setattr(torikit.fan, "double_description", calls.append)
     assert len(orbit_table(fan)) == len(fan.cones)
     assert calls == []
-    assert cached("facet_normals") == set(fan.maximal_cones)
+    assert cached("_chart") == cached("facet_normals") == set(fan.maximal_cones)
 
 
 GATED = {
