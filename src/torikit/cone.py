@@ -11,10 +11,12 @@ double description can also cut a pointed cone it is given by more
 half-spaces, which is how a fan intersects two of its cones.  Hilbert
 bases of dual monoids come from the dual's image modulo sigma^perp.  In
 dimension 2 that image's basis is its Hirzebruch-Jung continued fraction,
-walked from one ray to the other.  In higher dimension the image is
-triangulated on its facet normals and the half-open fundamental
-parallelepiped of each simplicial piece is enumerated, stepping from
-coset to coset of the lattice its rays span.
+walked from one ray to the other.  In higher dimension the lattice points
+of a half-open fundamental parallelepiped are enumerated with their
+coordinates t over its rays, column by column of t.  A simplicial image
+is reduced in those coordinates, with no pairing; any other is
+triangulated on its facet normals and the points of each simplicial
+piece are reduced by their values on the normals.
 """
 
 from __future__ import annotations
@@ -298,13 +300,21 @@ def _hilbert_pointed(
     """Hilbert basis of the pointed full-dimensional cone with extreme rays
     ``gens`` and facet normals ``normals``: x belongs iff <x, nu> >= 0.
 
-    In dimension 2 the basis is walked (``_hirzebruch_jung``).  Otherwise
-    candidates are the generators plus the lattice points of the half-open
-    parallelepipeds of a triangulation; reducible candidates (x - y stays
-    in the cone for an accepted y) are discarded in increasing order of the
-    sum of their values on ``normals``, a linear functional positive on the
-    nonzero points of the cone.  x - y lies in the cone exactly when y's
-    values are at most x's, so each candidate's values are computed once.
+    In dimension 2 the basis is walked (``_hirzebruch_jung``).  A simplicial
+    cone (d extreme rays) is reduced in the coordinates t of its half-open
+    parallelepiped, x = sum t_j g_j / e with 0 <= t_j < e, and no pairing
+    is computed.  Each normal vanishes on all generators but one, g_j, so
+    <x, nu> = t_j <g_j, nu> / e with <g_j, nu> > 0: the values on the
+    normals are the t_j, each scaled by a positive factor.  A nonzero
+    lattice point x of the cone is reducible iff x - y stays in the cone
+    for a nonzero lattice point y != x of the cone, that is iff y's values
+    on the normals are at most x's.  Every irreducible point other than the
+    generators lies in the box (x - g_j is in the cone once t_j >= e), and
+    a y whose coordinates are at most x's lies in the same box.  So the
+    basis is the generators plus the box points whose t is minimal, found
+    by scanning in increasing order of sum(t) against the accepted t's: a
+    y below x has a smaller sum, and if some y is below x so is a minimal
+    one.  Other cones go to ``_hilbert_triangulated``.
     """
     if not gens:
         return []
@@ -312,9 +322,34 @@ def _hilbert_pointed(
         return [gens[0]]
     if d == 2:
         return _hirzebruch_jung(*gens)
+    if len(gens) != d:
+        return _hilbert_triangulated(gens, normals)
+    t, x = _parallelepiped(gens)
+    sums = list(map(sum, t))
+    basis = list(gens)
+    accepted: list[Vector] = []
+    for i in sorted(range(len(t)), key=sums.__getitem__):
+        if not any(all(map(le, y, t[i])) for y in accepted):
+            basis.append(x[i])
+            accepted.append(t[i])
+    return sorted(basis)
+
+
+def _hilbert_triangulated(gens: list[Vector], normals: list[Vector]) -> list[Vector]:
+    """Hilbert basis of the pointed full-dimensional cone with extreme rays
+    ``gens`` and facet normals ``normals``, of dimension at least 3.
+
+    Candidates are the generators plus the lattice points of the half-open
+    parallelepipeds of a triangulation; reducible candidates (x - y stays
+    in the cone for an accepted y) are discarded in increasing order of the
+    sum of their values on ``normals``, a linear functional positive on the
+    nonzero points of the cone.  x - y lies in the cone exactly when y's
+    values are at most x's, so each candidate's values are computed once.
+    """
+    d = len(gens[0])
     candidates = set(gens)
     for simplex in _triangulate(gens, normals):
-        candidates.update(_parallelepiped_points(simplex))
+        candidates.update(_parallelepiped(simplex)[1])
     candidates.discard((0,) * d)
     values = {x: [pairing(x, nu) for nu in normals] for x in candidates}
     basis: list[Vector] = []
@@ -393,26 +428,29 @@ def _triangulate(
     return pull(frozenset(range(len(gens))), len(gens[0]))
 
 
-def _parallelepiped_points(cols: list[Vector]) -> list[Vector]:
-    """Nonzero lattice points of {sum t_i g_i : 0 <= t_i < 1}.
+def _parallelepiped(cols: list[Vector]) -> tuple[list[Vector], list[Vector]]:
+    """The nonzero lattice points x = sum t_j g_j / e, 0 <= t_j < e, of the
+    half-open parallelepiped on the columns g_j = ``cols``, as the pair
+    ``(t, x)`` of lists in one order.
 
     ``cols`` are linearly independent and there are exactly dim-many of
     them, so the box is a genuine parallelepiped with |det| lattice points,
     one per class of Z^d / G Z^d.  With U G V = D and e = d_last, the class
     z of sum Z/d_i is U w for a coset representative w, and
-    G^-1 w = V D^-1 z; so t = (V (z_i e / d_i)) mod e is e times the
-    fractional part of G^-1 w, and the point is G t / e.
+    G^-1 w = V D^-1 z; so t = (sum z_i c_i) mod e, with
+    c_i = (V (e / d_i) e_i) mod e, is e times the fractional part of
+    G^-1 w, and the point is G t / e.
 
-    The classes are stepped through one invariant factor at a time,
-    carrying the pair (t, q = G t): a step in factor i adds
-    c_i = (V (e / d_i) e_i) mod e to t and the precomputed G c_i to q, and
-    each coordinate t_j that wraps past e takes e G e_j off q.  Raises
-    ``ToricError`` when there are more than ``MAX_PARALLELEPIPED_POINTS``.
+    Each coordinate column of t is built over all classes at once, one
+    invariant factor at a time: the classes found so far, shifted by
+    k c_i for k < d_i.  Each coordinate of x is then a sum of columns of
+    t scaled by a row of G.  Raises ``ToricError`` when there are more than
+    ``MAX_PARALLELEPIPED_POINTS``, before anything is enumerated.
     """
     d = len(cols[0])
-    g = [[cols[j][i] for j in range(len(cols))] for i in range(d)]
     if len(cols) != d:
         raise ValueError("parallelepiped needs a square generator matrix")
+    g = [[col[i] for col in cols] for i in range(d)]
     _, dd, v = smith_normal_form(g)
     diag = diagonal_of(dd)
     if 0 in diag:
@@ -424,22 +462,18 @@ def _parallelepiped_points(cols: list[Vector]) -> list[Vector]:
             f"points, more than the {MAX_PARALLELEPIPED_POINTS} torikit enumerates"
         )
     e = diag[-1]
-    wraps = [tuple(e * x for x in col) for col in cols]
-    cosets = [((0,) * d, (0,) * d)]
+    t_cols = [[0] for _ in range(d)]
     for i, di in enumerate(diag):
         if di == 1:
             continue
-        c = tuple(row[i] * (e // di) % e for row in v)
-        gc = mat_vec(g, c)
-        steps = []
-        for t, q in cosets:
-            for _ in range(di - 1):
-                t = [a + b for a, b in zip(t, c)]
-                q = [a + b for a, b in zip(q, gc)]
-                for j, tj in enumerate(t):
-                    if tj >= e:
-                        t[j] = tj - e
-                        q = [a - b for a, b in zip(q, wraps[j])]
-                steps.append((t, q))
-        cosets += steps
-    return [tuple(x // e for x in q) for _, q in cosets[1:]]
+        for j, col in enumerate(t_cols):
+            c = v[j][i] * (e // di) % e
+            t_cols[j] = [(a + k * c) % e for k in range(di) for a in col]
+    x_cols = []
+    for row in g:
+        s = [0] * count
+        for gij, col in zip(row, t_cols):
+            if gij:
+                s = [a + gij * b for a, b in zip(s, col)]
+        x_cols.append([a // e for a in s])
+    return list(zip(*t_cols))[1:], list(zip(*x_cols))[1:]

@@ -5,6 +5,7 @@ import sys
 import time
 from collections import Counter
 from functools import partial
+from operator import ge
 
 import pytest
 
@@ -548,6 +549,24 @@ def test_hilbert_refuses_a_huge_parallelepiped(tmp_path, capsys):
         f"{MAX_PARALLELEPIPED_POINTS} torikit enumerates\n"
     )
     assert elapsed < 2, elapsed
+
+
+def test_hilbert_answers_a_parallelepiped_near_the_bound(tmp_path, capsys):
+    # the dual of the cone on e1, e2, (1, 1, 316) is simplicial, with a
+    # parallelepiped of 316^2 = 99 856 lattice points, just under the bound
+    f = tmp_path / "near.fan"
+    f.write_text("rank 3\nrays 3\n1 0 0\n0 1 0\n1 1 316\nmaxcones 1\n0 1 2\n")
+    code, out, err, elapsed = timed_main(["hilbert", str(f), "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert elapsed < 1, elapsed
+    cones = {tuple(e["cone"]): e["hilbert_basis"] for e in json.loads(out)["cones"]}
+    basis = cones[(0, 1, 2)]
+    rays = [(1, 0, 0), (0, 1, 0), (1, 1, 316)]
+    values = [[sum(a * b for a, b in zip(g, h)) for g in rays] for h in basis]
+    assert len(values) == 320
+    assert all(min(v) >= 0 for v in values)
+    # no element is another plus a point of the dual
+    assert not any(v != w and all(map(ge, v, w)) for v in values for w in values)
 
 
 def test_a_huge_ray_entry_names_the_basis_size_bound(tmp_path, capsys):

@@ -2,7 +2,7 @@ import itertools
 import random
 import sys
 import time
-from math import gcd
+from math import gcd, prod
 from operator import le
 
 import pytest
@@ -14,13 +14,14 @@ from torikit.cone import (
     MAX_HILBERT_BASIS_SIZE,
     Cone,
     _hilbert_pointed,
-    _parallelepiped_points,
+    _hilbert_triangulated,
     double_description,
 )
 from torikit.errors import PointednessError, ToricError
 from torikit.lattice import pairing, primitive, rank
 
 from conftest import oracles
+from test_elimination import box_points, simplicial_cones, sympy_divisors
 
 
 def brute_force_dual_check(cone, samples):
@@ -433,9 +434,9 @@ def primitive_2d_cones(draw, entry, max_det):
 
 
 def enumerated_hilbert_basis(gens, normals):
-    """The generators and the parallelepiped's points, less those that an
-    accepted smaller candidate reduces (the enumeration of dimension >= 3)."""
-    candidates = set(gens) | set(_parallelepiped_points(gens))
+    """The generators and the parallelepiped's points, found by scanning its
+    bounding box, less those that an accepted smaller candidate reduces."""
+    candidates = set(gens) | box_points(gens)
     ell = tuple(map(sum, zip(*normals)))
     basis, accepted = [], []
     for x in sorted(candidates, key=lambda x: (pairing(ell, x), x)):
@@ -469,3 +470,83 @@ def test_the_2d_walk_bounds_the_basis_size():
     k += 1
     with pytest.raises(ToricError, match=f"more elements than the {MAX_HILBERT_BASIS_SIZE} "):
         _hilbert_pointed([(0, 1), (k, 1)], [(1, 0), (-1, k)], 2)
+
+
+@st.composite
+def simplicial_duals(draw):
+    """The extreme rays of a simplicial cone in dimension 3 or 4 whose
+    parallelepiped group has at least two invariant factors above 1.
+
+    The rays are the columns of U D T with D = diag(1, p, p q, ...), p >= 2,
+    T unit upper triangular with a first row of ones, so that each column
+    of D T starts with 1 and is primitive, and U a product of elementary
+    row operations; they are then signed and shuffled.
+    """
+    d = draw(st.integers(3, 4))
+    p = draw(st.integers(2, 4 if d == 3 else 3))
+    diag = [1, p]
+    for _ in range(d - 2):
+        diag.append(diag[-1] * draw(st.integers(1, 2)))
+    assume(prod(diag) <= 64)
+    t = [[1] * d] + [
+        [int(i == j) or (draw(st.integers(-2, 2)) if j > i else 0) for j in range(d)]
+        for i in range(1, d)
+    ]
+    m = [[diag[i] * x for x in row] for i, row in enumerate(t)]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.permutations(range(d)))[:2]
+        k = draw(st.sampled_from([-1, 1]))
+        m[i] = [a + k * b for a, b in zip(m[i], m[j])]
+    signs = [draw(st.sampled_from([-1, 1])) for _ in range(d)]
+    gens = [tuple(signs[j] * row[j] for row in m) for j in draw(st.permutations(range(d)))]
+    return gens
+
+
+def check_simplicial_dual(gens):
+    """The basis of the cone on ``gens`` against the box oracle, which is
+    given the facet normals, and against the triangulated path."""
+    d = len(gens)
+    normals = [tuple(u) for u in oracles._dual_generators(gens)]
+    basis = _hilbert_pointed(gens, normals, d)
+    assert basis == oracles.hilbert_box(normals)
+    assert _hilbert_triangulated(gens, normals) == basis
+
+
+@settings(max_examples=60, deadline=None)
+@given(simplicial_duals())
+def test_simplicial_duals_with_non_cyclic_groups_match_the_box_oracle(gens):
+    g = [[c[i] for c in gens] for i in range(len(gens))]
+    assert sum(x > 1 for x in sympy_divisors(g)) >= 2
+    check_simplicial_dual(gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(simplicial_cones().filter(lambda cols: len(cols) > 2 and all(gcd(*c) == 1 for c in cols)))
+def test_random_simplicial_duals_match_the_box_oracle(gens):
+    check_simplicial_dual(gens)
+
+
+def test_a_simplicial_dual_is_neither_triangulated_nor_paired(monkeypatch):
+    """The basis of a simplicial cone comes from its parallelepiped
+    coordinates alone; the dual of the cone over a square, which is not
+    simplicial, still takes both."""
+    # the dual of the cone on e1, e2 and (-3, -5, -31), with 31^2 box points
+    gens = [(31, 0, -3), (0, 31, -5), (0, 0, -1)]
+    normals = [tuple(u) for u in oracles._dual_generators(gens)]
+    square = Cone(SQUARE, 3)
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("_triangulate", "pairing"):
+        monkeypatch.setattr(torikit.cone, name, counting(name, getattr(torikit.cone, name)))
+    basis = _hilbert_pointed(gens, normals, 3)
+    assert calls == []
+    assert basis == oracles.hilbert_box(normals)
+    _hilbert_pointed(list(square.facet_normals), list(square.extreme_rays), 3)
+    assert {"_triangulate", "pairing"} <= set(calls)

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import invariant_factors
 
-from torikit.cone import _parallelepiped_points
+from torikit.cone import _parallelepiped
 from torikit.lattice import (
     _sparse_echelon,
     cokernel,
@@ -296,6 +296,22 @@ def box_points(cols):
     return out
 
 
+def parallelepiped_points(cols):
+    """The points x of ``_parallelepiped``, after checking that each comes
+    with its coordinates t: G t = e x for one e > max t, so x = G (t / e)
+    with 0 <= t / e < 1."""
+    t, x = _parallelepiped(cols)
+    assert len(t) == len(x)
+    scales = set()
+    for tp, xp in zip(t, x):
+        gt = [sum(c[i] * tj for c, tj in zip(cols, tp)) for i in range(len(cols))]
+        e = next(a // b for a, b in zip(gt, xp) if b)
+        assert gt == [e * b for b in xp] and all(0 <= tj < e for tj in tp)
+        scales.add(e)
+    assert len(scales) <= 1
+    return x
+
+
 @st.composite
 def simplicial_cones(draw):
     d = draw(st.integers(2, 4))
@@ -308,7 +324,7 @@ def simplicial_cones(draw):
 @settings(max_examples=60, deadline=None)
 @given(simplicial_cones())
 def test_parallelepiped_points_match_box_enumeration(cols):
-    pts = _parallelepiped_points(cols)
+    pts = parallelepiped_points(cols)
     det = abs(as_sympy([list(c) for c in cols]).det())
     assert len(pts) == len(set(pts)) == det - 1
     assert set(pts) == box_points(cols)
@@ -325,9 +341,9 @@ def test_parallelepiped_points_match_box_enumeration(cols):
     ids=["Z2^3", "Z3^2", "Z2xZ2xZ6", "Z2^3-in-4d"],
 )
 def test_parallelepiped_points_of_non_cyclic_groups(cols):
-    # Z^d / G Z^d has several nontrivial invariant factors, so the cosets
-    # are stepped through in more than one of them
-    pts = _parallelepiped_points(cols)
+    # Z^d / G Z^d has several nontrivial invariant factors, so the columns
+    # of t are built over more than one of them
+    pts = parallelepiped_points(cols)
     det = abs(as_sympy([list(c) for c in cols]).det())
     assert len(pts) == len(set(pts)) == det - 1
     assert set(pts) == box_points(cols)
