@@ -16,8 +16,8 @@ and the smoothness verdict are decided on the maximal cones, so a face
 needs no dual and no chart for them.  A fan of full-dimensional
 simplicial maximal cones is first certified valid and complete by wall
 crossing, one local check per facet on the facet records the parse
-computed (``Cone.facets``, ``Fan.walls``); only when that fails or does
-not apply are pairs of maximal cones intersected.
+computed (``Cone.facets``), and ``Fan.wall_certified`` keeps the verdict;
+only when it fails or does not apply are pairs of maximal cones intersected.
 """
 
 from __future__ import annotations
@@ -95,11 +95,9 @@ class Fan:
         return validate_fan(self)
 
     @cached_property
-    def walls(self) -> Optional[dict[RaySet, tuple[RaySet, RaySet]]]:
-        """Each facet of a maximal cone, mapped to the two maximal cones
-        that share it, when the wall-crossing certificate of
-        ``validate_fan`` holds, which makes the fan valid and complete;
-        None when it fails or does not apply."""
+    def wall_certified(self) -> bool:
+        """Whether the wall-crossing certificate of ``validate_fan`` holds,
+        which makes the fan valid and complete."""
         return _wall_certificate(self)
 
     @cached_property
@@ -139,11 +137,11 @@ def validate_fan(fan: Fan) -> ValidationReport:
     of each.  The check stops after vertex violations.  Axiom (a), every
     face of a cone is a cone of the fan, holds by construction of ``Fan``.
 
-    A fan that ``Fan.walls`` certifies by wall crossing is valid, and its
-    report is empty.  The certificate applies when every maximal cone is
-    full dimensional and simplicial, so that every cone is a face of one
-    and the facets of a maximal cone, the walls, are its sets of n - 1
-    rays.  It holds when
+    A fan that passes the wall-crossing certificate (``Fan.wall_certified``)
+    is valid, and its report is empty.  The certificate applies when every
+    maximal cone is full dimensional and simplicial, so that every cone is
+    a face of one and the facets of a maximal cone, the walls, are its
+    sets of n - 1 rays.  It holds when
 
     1. every wall lies in exactly two maximal cones;
     2. the rays of those two cones opposite the wall lie strictly on
@@ -204,7 +202,7 @@ def validate_fan(fan: Fan) -> ValidationReport:
     each maximal cone whose ray set contains it.
     """
     report = ValidationReport()
-    if fan.walls is not None:
+    if fan.wall_certified:
         return report
     maximal = fan.maximal_cones
     for c in _failing_cones(fan, lambda c: fan.cone(c).has_vertex()):
@@ -224,9 +222,8 @@ def validate_fan(fan: Fan) -> ValidationReport:
     return report
 
 
-def _wall_certificate(fan: Fan) -> Optional[dict[RaySet, tuple[RaySet, RaySet]]]:
-    """The walls of ``fan`` mapped to the two maximal cones on them, if the
-    three checks of ``validate_fan`` hold; None otherwise, or when some
+def _wall_certificate(fan: Fan) -> bool:
+    """Whether the three checks of ``validate_fan`` hold; False when some
     maximal cone is not full dimensional and simplicial.
 
     A full-dimensional simplicial cone has one facet per ray: the other
@@ -235,25 +232,23 @@ def _wall_certificate(fan: Fan) -> Optional[dict[RaySet, tuple[RaySet, RaySet]]]
     """
     n, maximal = fan.n, fan.maximal_cones
     if any(len(c) != n or fan.cone(c).dim != n for c in maximal):
-        return None
-    sides: dict[RaySet, list[tuple[RaySet, Vector, int]]] = {}
+        return False
+    sides: dict[RaySet, list[tuple[Vector, int]]] = {}
     for c in maximal:
         for facet, a in fan.cone(c).facets.items():
             [j] = set(range(n)) - facet
-            sides.setdefault(_face_rayset(c, facet), []).append((c, a, c[j]))
-    walls = {}
-    for wall, cones in sides.items():
+            sides.setdefault(_face_rayset(c, facet), []).append((a, c[j]))
+    for cones in sides.values():
         if len(cones) != 2:
-            return None
-        (c1, a1, _), (c2, _, v2) = cones
+            return False
+        (a1, _), (_, v2) = cones
         if pairing(a1, fan.rays[v2]) >= 0:
-            return None
-        walls[wall] = (c1, c2)
+            return False
     point = [sum(x) for x in zip(*(fan.rays[i] for i in maximal[0]))]
     for c in maximal[1:]:
         if all(pairing(a, point) >= 0 for a in fan.cone(c).facet_normals):
-            return None
-    return walls
+            return False
+    return True
 
 
 def _failing_cones(fan: Fan, holds: Callable[[RaySet], bool]) -> Iterator[RaySet]:
@@ -335,10 +330,11 @@ def incompleteness_reasons(fan: Fan) -> list[str]:
     exactly two maximal cones.  A facet is named by its extreme rays, the
     generators on it that span a ray face of their maximal cone, since two
     maximal cones may list different rays on the same facet.  A fan that
-    ``Fan.walls`` certifies is complete (see ``validate_fan``).
+    passes the wall-crossing certificate (``Fan.wall_certified``) is
+    complete (see ``validate_fan``).
     """
     require_valid(fan)
-    if fan.walls is not None:  # else validate, betti, ring run 2-9% slower
+    if fan.wall_certified:  # else validate, betti, ring run 2-9% slower
         return []
     reasons = [
         f"maximal cone {c} has dimension {fan.cone(c).dim} < {fan.n}"

@@ -5,18 +5,18 @@ lists of rows.  Characters of the torus live in X(T) = Z^n, one-parameter
 subgroups in Y(T) = Z^n, dual to each other under the standard dot-product
 pairing.  Everything here is a pure function of immutable data.
 
-There are two elimination kernels, both over Z.  ``smith_normal_form`` is
-dense: it returns the unimodular transforms U and V with U M V = D, each
-``Cone`` reads sigma^perp, smoothness and its dual basis off one, and
-``invert_unimodular`` reads M^-1 = V U off it.
+There are two elimination kernels, both over Z: invariants (ranks,
+elementary divisors) go through ``rank`` and ``cokernel``, and transforms
+(charts, lifts, solutions) through ``smith_normal_form``, which is dense
+and returns the unimodular U and V with U M V = D.
 
 ``_sparse_echelon`` works on rows kept as dicts: it reduces the rows in
 order against a sparse echelon with unimodular row operations only, and
 finds the rows in the span of the rows before them.  ``rank`` counts the
-others.  ``cokernel``, for the large sparse relations of the graded pieces
-in ``rings``, reads off the same echelon both those rows and the
-elementary divisors; the rows of the echelon whose pivots are not units go
-to ``smith_normal_form``.
+others.  ``cokernel``, for the relations of ``rings`` and ``picard``,
+reads off the same echelon both those rows and the elementary divisors;
+the rows of the echelon whose pivots are not units go to
+``smith_normal_form``.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ agree on pairwise intersections.  Pic(X) = H^2(X) is its quotient by the
 constant families coming from X(T).  On a smooth fan the dual basis makes
 X(T_sigma) = Z^(rays of sigma), so a compatible family is exactly its
 values <chi_sigma, mu_v> on the rays v lying in some maximal cone:
-H^2_T(X) = Z^rays, and Pic(X) = coker(X(T) -> Z^rays), one Smith normal
-form of the ray coordinates (Cox, Little and Schenck, *Toric Varieties*,
+H^2_T(X) = Z^rays, and Pic(X) = coker(X(T) -> Z^rays), one ``cokernel``
+of the ray coordinates (Cox, Little and Schenck, *Toric Varieties*,
 Ch. 4 and Ch. 12).  Divisor classes are realized as character families
 with <chi_sigma, mu_v> = -a_v on each ray of sigma (sections of the ray
 divisors are linearized with weight zero).
@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import IncompatibleFamilyError
 from .fan import Fan, RaySet, require_smooth
-from .lattice import Vector, pairing, quotient_by_sublattice, solve_integer
+from .lattice import Vector, cokernel, pairing, solve_integer
 
 
 class CharacterFamily(NamedTuple):
@@ -78,7 +78,7 @@ def picard(fan: Fan) -> PicardReport:
     A ray counts when it lies in some maximal cone.  Basis family ``v``
     is the dual basis character of ``v`` on each maximal cone through
     ``v`` and zero elsewhere; character ``e_t`` maps to the t-th
-    coordinates of the rays.
+    coordinates of the rays, whose elementary divisors give Pic(X).
     """
     require_smooth(fan)
     maxc = fan.maximal_cones
@@ -88,15 +88,13 @@ def picard(fan: Fan) -> PicardReport:
     families = tuple(
         CharacterFamily(fan, tuple(d.get(v, zero) for d in duals)) for v in used
     )
-    ordinary = quotient_by_sublattice(
-        len(used), [[fan.rays[v][t] for v in used] for t in range(fan.n)]
-    )
+    divisors, _ = cokernel([{v: fan.rays[v][t] for v in used} for t in range(fan.n)])
     return PicardReport(
         equivariant_rank=len(used),
         equivariant_torsion=(),
         equivariant_basis=families,
-        ordinary_rank=ordinary.rank,
-        ordinary_torsion=ordinary.torsion,
+        ordinary_rank=len(used) - len(divisors),
+        ordinary_torsion=tuple(d for d in divisors if d > 1),
     )
 
 

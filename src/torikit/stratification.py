@@ -2,9 +2,10 @@
 
 The orbits, ordered by nondecreasing cone dimension, form a decomposition
 whose partial unions are open; each stratum's normal weights are the dual
-basis characters of its cone's rays taken modulo sigma^perp.  All weights
-are nonzero, the Euler classes are non-zero-divisors, and the equivariant
-Poincare series is the sum of the shifted series of the strata.
+basis characters of a maximal cone through it, at its rays, with which
+they pair to delta_vw, taken modulo sigma^perp.  All weights are nonzero,
+the Euler classes are non-zero-divisors, and the equivariant Poincare
+series is the sum of the shifted series of the strata.
 
 Smoothness and completeness are required through the gates of ``fan``.
 """
@@ -53,6 +54,8 @@ def dual_basis_character(fan: Fan, rayset: RaySet, v: int) -> Vector:
     """
     key = tuple(sorted(rayset))
     basis = fan.cone(key).dual_basis
+    if v not in key:
+        raise KeyError(f"ray {v} not in cone {key}")
     if basis is None:
         raise SmoothnessError(f"no integral dual basis for ray {v} in cone {key}")
     return basis[key.index(v)]
@@ -77,11 +80,14 @@ class Stratification(NamedTuple):
 def stratify(fan: Fan) -> Stratification:
     """Order the orbits so every prefix is a subfan and attach weights."""
     require_smooth(fan)
-    strata = []
-    for c in fan.cones:  # already sorted by (dim, rays): prefixes are subfans
-        cone = fan.cone(c)
-        strata.append(Stratum(rayset=c, codim=cone.dim, normal_weights=cone.dual_basis))
-    return Stratification(fan=fan, strata=tuple(strata))
+    weights: dict[RaySet, tuple[Vector, ...]] = {}
+    for m in fan.maximal_cones:  # no face is charted
+        basis = fan.cone(m).dual_basis
+        for f in map(sorted, fan.cone(m).face_generator_sets):
+            weights.setdefault(tuple(m[i] for i in f), tuple(basis[i] for i in f))
+    # fan.cones is sorted by (dim, rays): prefixes are subfans
+    strata = tuple(Stratum(c, fan.cone(c).dim, weights[c]) for c in fan.cones)
+    return Stratification(fan=fan, strata=strata)
 
 
 class PerfectionReport:

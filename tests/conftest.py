@@ -1,11 +1,13 @@
 import importlib.util
 import os
 import pathlib
+import random
 import sys
 
 import pytest
+from hypothesis import strategies as st
 
-from torikit import parse_fan
+from torikit import Fan, parse_fan
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FAN_DIR = ROOT / "fans"
@@ -38,6 +40,36 @@ COMPLETE_GOLDEN = ["p1", "p2", "p1xp1", "hirzebruch1"]
 
 # P^2 with a fourth ray (1, 1) in no cone, though it lies inside cone {0, 1}.
 P2_UNUSED_RAY = "rank 2\nrays 4\n1 0\n0 1\n-1 -1\n1 1\nmaxcones 3\n0 1\n1 2\n0 2\n"
+
+
+SMOOTH_FAMILIES = [
+    *(fans.projective_space(n) for n in (1, 2, 3)),
+    fans.p1_power(2),
+    fans.p1_power(3),
+    *(fans.hirzebruch(a) for a in range(4)),
+    fans.blow_up_points(fans.projective_space(3), 2),
+    *(fans.iterated_blowup_p2(k) for k in (1, 4, 8)),
+]
+
+
+@st.composite
+def smooth_fans(draw):
+    """A smooth fan of the benchmark's families, relabelled, its rays moved
+    by a few unimodular shears x_i += q x_j, and, half the time, cut down
+    to an incomplete subfan on some of its maximal cones."""
+    data = draw(st.sampled_from(SMOOTH_FAMILIES))
+    data = fans.relabel(data, random.Random(draw(st.integers(0, 2**16))))
+    rays = [list(r) for r in data.rays]
+    for _ in range(draw(st.integers(0, 3)) if data.n > 1 else 0):
+        i = draw(st.integers(0, data.n - 1))
+        j = (i + draw(st.integers(1, data.n - 1))) % data.n
+        q = draw(st.integers(-2, 2))
+        for r in rays:
+            r[i] += q * r[j]
+    cones = list(data.maxcones)
+    if draw(st.booleans()):
+        cones = draw(st.lists(st.sampled_from(cones), min_size=1, unique=True))
+    return Fan(data.n, rays, cones)
 
 
 def load_fan(name):

@@ -409,11 +409,12 @@ def test_hilbert_answers_a_huge_2d_determinant(entry, tmp_path):
     assert elapsed < 5, elapsed
 
 
-# The cones each command charts: stratify reads the dual basis of every
-# cone; Picard and the gates need only the maximal cones; orbits needs no
-# chart, as X(T_sigma) is free of rank dim sigma.
+# The cones each command charts: stratify restricts the dual basis of each
+# maximal cone to its faces, so it, Picard and the gates need only the
+# maximal cones; orbits needs no chart, as X(T_sigma) is free of rank
+# dim sigma.
 ONE_CHART_CASES = {
-    "certify": (fans.projective_space(3), ["--max-degree", "10"], "cones"),
+    "certify": (fans.projective_space(3), ["--max-degree", "10"], "maximal"),
     "orbits": (fans.blow_up_points(fans.projective_space(3), 2), [], "none"),
     "picard": (fans.iterated_blowup_p2(22), [], "maximal"),
 }
@@ -421,9 +422,9 @@ ONE_CHART_CASES = {
 
 @pytest.mark.parametrize("command", sorted(ONE_CHART_CASES))
 def test_each_cone_makes_one_smith_normal_form(command, tmp_path, monkeypatch, capsys):
-    """Every Smith normal form comes from a cone's chart, one per nonzero
-    cone it needs, or from a quotient lattice presentation; nothing solves
-    a system or takes a kernel, and orbits makes no Smith normal form."""
+    """Every Smith normal form is a maximal cone's chart, one per maximal
+    cone; nothing presents a quotient lattice, solves a system or takes a
+    kernel, and orbits makes no Smith normal form."""
     data, options, charted = ONE_CHART_CASES[command]
     f = tmp_path / "fan.fan"
     f.write_text(data.text())
@@ -432,8 +433,8 @@ def test_each_cone_makes_one_smith_normal_form(command, tmp_path, monkeypatch, c
     def counting(name, fn, *args):
         frame, caller = sys._getframe(1), "elsewhere"
         while frame is not None:
-            if frame.f_code.co_name in ("_chart", "quotient_by_sublattice"):
-                caller = frame.f_code.co_name
+            if frame.f_code.co_name == "_chart":
+                caller = "_chart"
                 break
             frame = frame.f_back
         calls[name, caller] += 1
@@ -447,13 +448,8 @@ def test_each_cone_makes_one_smith_normal_form(command, tmp_path, monkeypatch, c
                     monkeypatch.setattr(module, name, partial(counting, name, fn))
     assert main([command, str(f)] + options) == 0
     capsys.readouterr()
-    if charted == "none":
-        assert calls == Counter(), calls
-        return
-    assert {name for name, _ in calls} == {"smith_normal_form"}, calls
-    assert {caller for _, caller in calls} <= {"_chart", "quotient_by_sublattice"}
-    cones = len(data.cones()) - 1 if charted == "cones" else len(data.maxcones)
-    assert calls["smith_normal_form", "_chart"] == cones
+    charts = 0 if charted == "none" else len(data.maxcones)
+    assert calls == Counter({("smith_normal_form", "_chart"): charts}), calls
 
 
 # Hostile input: each answer is an exit code of 0, 1 or 2 with a message,

@@ -10,7 +10,7 @@ from math import gcd, prod
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import torikit.cone
@@ -30,13 +30,14 @@ from torikit import (
 from torikit.lattice import (
     kernel_basis,
     pairing,
+    primitive,
     quotient_by_sublattice,
     rank,
     solve_integer,
 )
 from torikit.picard import PicardReport
 
-from conftest import COMPLETE_GOLDEN, SMOOTH_GOLDEN, fans, load_fan
+from conftest import COMPLETE_GOLDEN, SMOOTH_GOLDEN, fans, load_fan, smooth_fans
 
 # The package exports the function ``picard`` under the module's name.
 picard_module = importlib.import_module("torikit.picard")
@@ -368,35 +369,33 @@ def test_picard_agrees_with_the_inverse_limit(name):
         fam.check_compatible()
 
 
-SNF_CALLERS = ("quotient_by_sublattice", "require_smooth", "dual_basis_character")
-
-
 def test_picard_makes_one_elimination_for_its_coordinates(monkeypatch):
-    """Pic is the cokernel of X(T) -> Z^rays: one Smith normal form of the
-    2 x 25 matrix of ray coordinates, and no kernel of any matrix."""
+    """Pic is the cokernel of X(T) -> Z^rays: one ``cokernel`` of the 2
+    sparse rows of ray coordinates over the 25 rays, no Smith normal form
+    past the charts of the smoothness gate, and no kernel of any matrix."""
     fan = parse_fan(fans.iterated_blowup_p2(22).text())
     assert len(fan.maximal_cones) == 25
     # the validity verdict is the gate's work, not Picard's; it is kept on
     # the fan, so compute it before counting
     assert fan.validation.valid
     snf_callers = Counter()
-    quotients, kernels = [], []
-    snf, quotient = torikit.lattice.smith_normal_form, picard_module.quotient_by_sublattice
+    cokernels, kernels = [], []
+    snf, coker = torikit.lattice.smith_normal_form, picard_module.cokernel
     kernel = torikit.lattice.kernel_basis
 
     def counting_snf(*args):
         frame, caller = sys._getframe(1), "elsewhere"
         while frame is not None:
-            if frame.f_code.co_name in SNF_CALLERS:
-                caller = frame.f_code.co_name
+            if frame.f_code.co_name == "require_smooth":
+                caller = "require_smooth"
                 break
             frame = frame.f_back
         snf_callers[caller] += 1
         return snf(*args)
 
-    def counting_quotient(n, generators):
-        quotients.append((n, [len(g) for g in generators]))
-        return quotient(n, generators)
+    def counting_cokernel(rows):
+        cokernels.append((len(rows), len(set().union(*rows))))
+        return coker(rows)
 
     def counting_kernel(*args):
         kernels.append(args)
@@ -404,18 +403,58 @@ def test_picard_makes_one_elimination_for_its_coordinates(monkeypatch):
 
     monkeypatch.setattr(torikit.lattice, "smith_normal_form", counting_snf)
     monkeypatch.setattr(torikit.cone, "smith_normal_form", counting_snf)
-    monkeypatch.setattr(picard_module, "quotient_by_sublattice", counting_quotient)
+    monkeypatch.setattr(picard_module, "cokernel", counting_cokernel)
     for module in list(sys.modules.values()):
         if module.__name__.startswith("torikit") and "kernel_basis" in vars(module):
             monkeypatch.setattr(module, "kernel_basis", counting_kernel)
     rep = picard(fan)
     assert rep.ordinary_rank == 23
     assert kernels == []
-    assert quotients == [(25, [25, 25])]
+    assert cokernels == [(2, 25)]
     # the smoothness gate charts each maximal cone once (a fan certified
     # by wall crossing has none charted by validation), and the dual basis
     # characters are read off those charts
-    assert snf_callers == {"quotient_by_sublattice": 1, "require_smooth": 25}
+    assert snf_callers == {"require_smooth": 25}
     snf_callers.clear()
     picard(fan)
-    assert snf_callers == {"quotient_by_sublattice": 1}
+    assert snf_callers == {}
+    assert cokernels == [(2, 25)] * 2
+
+
+def dense_ordinary_picard(fan):
+    """Pic(X) = Z^used / X(T) from the dense Smith normal form of the n rows
+    of ray coordinates over the used rays, kept as the reference for
+    ``picard``'s cokernel."""
+    used = sorted({v for c in fan.maximal_cones for v in c})
+    pres = quotient_by_sublattice(
+        len(used), [[fan.rays[v][t] for v in used] for t in range(fan.n)]
+    )
+    return pres.rank, pres.torsion
+
+
+@settings(max_examples=80, deadline=None)
+@given(smooth_fans())
+def test_ordinary_picard_matches_the_dense_presentation(fan):
+    rep = picard(fan)
+    assert (rep.ordinary_rank, rep.ordinary_torsion) == dense_ordinary_picard(fan)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 3).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-6, 6), min_size=n, max_size=n).filter(any),
+            min_size=1,
+            max_size=5,
+        )
+    )
+)
+@example([[1, 0], [1, 2]])  # Pic = Z/2
+@example([[1, 0, 0], [1, 2, 0], [1, 0, 2]])  # Pic = (Z/2)^2
+def test_ordinary_picard_of_lone_rays_matches_the_dense_presentation(vectors):
+    """Rays that are each their own cone make a smooth fan whose Pic is
+    Z^rays / X(T), with torsion when the rays span a proper sublattice."""
+    rays = list(dict.fromkeys(primitive(v) for v in vectors))
+    fan = Fan(len(rays[0]), rays, [(i,) for i in range(len(rays))])
+    rep = picard(fan)
+    assert (rep.ordinary_rank, rep.ordinary_torsion) == dense_ordinary_picard(fan)

@@ -215,6 +215,11 @@ def test_restriction_unknown_cone(p2):
         restriction_map(p2, sr_one(p2), (0, 1, 2))
 
 
+def test_dual_basis_character_of_a_ray_off_the_cone(p2):
+    with pytest.raises(KeyError, match=r"ray 2 not in cone \(0, 1\)"):
+        dual_basis_character(p2, (0, 1), 2)
+
+
 def test_euler_monomial_is_product_of_weights(p2, p1xp1):
     # the class of the top monomial of sigma restricts on sigma to the
     # product of the normal weights chi_v

@@ -1,6 +1,7 @@
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
 
 from torikit import (
     CompletenessError,
@@ -18,7 +19,7 @@ from torikit import (
 from torikit.lattice import pairing
 from torikit.stratification import PoincareSeries
 
-from conftest import COMPLETE_GOLDEN, SMOOTH_GOLDEN, load_fan
+from conftest import COMPLETE_GOLDEN, SMOOTH_GOLDEN, load_fan, smooth_fans
 
 
 def poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -97,6 +98,22 @@ def test_stratum_weight_count(p2):
     for s in strat.strata:
         assert len(s.normal_weights) == len(s.rayset)
         assert s.codim == p2.cone(s.rayset).dim
+
+
+@settings(max_examples=60, deadline=None)
+@given(smooth_fans())
+def test_strata_weights_restrict_the_maximal_dual_bases(fan):
+    """Each stratum's weights pair to delta_vw with its rays, so they lift
+    its cone's dual basis; the strata keep the order of ``fan.cones``, and
+    the perfection certificate holds."""
+    strat = stratify(fan)
+    assert strat.order == fan.cones
+    for s in strat.strata:
+        k = len(s.rayset)
+        assert s.codim == k
+        pairings = [[pairing(chi, fan.rays[w]) for w in s.rayset] for chi in s.normal_weights]
+        assert pairings == [[int(i == j) for j in range(k)] for i in range(k)], s
+    assert certify_perfection(strat).certified
 
 
 def test_perfection_certified_on_golden_fans():

@@ -104,7 +104,7 @@ def assert_agree(fan: Fan) -> ValidationReport:
     fast, slow = validate_fan(fan), exhaustive_validate(fan)
     assert fast.valid == slow.valid, (fast.violations, slow.violations)
     assert kinds(fast) == kinds(slow), (fast.violations, slow.violations)
-    if fan.walls is not None:
+    if fan.wall_certified:
         assert slow.valid and complete_by_facet_count(fan), slow.violations
     return fast
 
@@ -157,8 +157,7 @@ def test_generated_fans_are_valid_under_both_checks(data):
     """Every generated family is complete and simplicial, and certified."""
     fan = Fan(data.n, data.rays, data.maxcones)
     assert assert_agree(fan).valid
-    assert fan.walls is not None
-    assert len(fan.walls) == len(fan.maximal_cones) * fan.n // 2
+    assert fan.wall_certified
 
 
 @SETTINGS
@@ -317,7 +316,7 @@ def test_the_pentagram_is_refused_by_its_interior_point_alone():
         a, b = [w for c in cones if v in c for w in c if w != v]
         assert det(rays[v], rays[a]) * det(rays[v], rays[b]) < 0
     fan = Fan(2, rays, cones)
-    assert fan.walls is None
+    assert not fan.wall_certified
     report = assert_agree(fan)
     assert report.violations[:2] == [
         ("axiom-b", f"intersection of cones (0, 1) and (2, 3) is not a face of {c}")
@@ -344,7 +343,7 @@ def test_a_certified_fan_makes_no_pair_check(monkeypatch, data):
     monkeypatch.setattr(torikit.fan, "double_description", counting_dd)
     fan = parse_fan(data.text())
     assert validate_fan(fan).violations == []
-    assert fan.walls is not None
+    assert fan.wall_certified
     assert checks == []
     assert duals == [None] * len(fan.maximal_cones)
     assert torikit.fan.incompleteness_reasons(fan) == []
@@ -359,7 +358,7 @@ def test_axiom_b_is_checked_once_per_maximal_pair(monkeypatch, data, pairs):
     """On a fan that takes the fallback (P^5 and (P^1)^4, each less one
     maximal cone), one pair check per pair of maximal cones."""
     fan = Fan(data.n, data.rays, data.maxcones)
-    assert fan.walls is None
+    assert not fan.wall_certified
     assert len(fan.maximal_cones) * (len(fan.maximal_cones) - 1) // 2 == pairs
     calls = []
     check_pair = torikit.fan._check_pair
@@ -397,7 +396,7 @@ def test_parse_and_validate_make_one_double_description_per_cone_and_pair(
     monkeypatch.setattr(torikit.fan, "double_description", counting)
     fan = parse_fan(data.text())
     assert validate_fan(fan).valid
-    assert fan.walls is None
+    assert not fan.wall_certified
     pairs = len(fan.maximal_cones) * (len(fan.maximal_cones) - 1) // 2
     assert len(calls) == len(fan.maximal_cones) + pairs == count
     maximal = [fan.cone(c) for c in fan.maximal_cones]
