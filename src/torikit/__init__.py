@@ -25,6 +25,7 @@ from .fan import (
 )
 from .lattice import (
     QuotientLatticePresentation,
+    invert_unimodular,
     kernel_basis,
     pairing,
     primitive,

@@ -12,19 +12,25 @@ half-spaces, which is how a fan intersects two of its cones.  Hilbert
 bases of dual monoids come from the dual's image modulo sigma^perp.  In
 dimension 2 that image's basis is its Hirzebruch-Jung continued fraction,
 walked from one ray to the other.  In higher dimension the lattice points
-of a half-open fundamental parallelepiped are enumerated with their
+of a half-open fundamental parallelepiped are enumerated by their
 coordinates t over its rays, column by column of t.  A simplicial image
-is reduced in those coordinates, with no pairing; any other is
-triangulated on its facet normals and the points of each simplicial
-piece are reduced by their values on the normals.
+is reduced in those coordinates, with no pairing: the columns of t that
+are 0 on every point are left out, the points are taken in lexicographic
+order of t, so that every point below t comes before it, and with at most
+three columns left the test of t against the accepted points is one
+search in a staircase of them.  Only the accepted t are turned into
+lattice points.  Any other image is triangulated on its facet normals and
+the points of each simplicial piece are reduced by their values on the
+normals.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from functools import cached_property
 from math import prod
-from operator import le
+from operator import le, mul
 from typing import Optional, Sequence
 
 from .errors import PointednessError, ToricError
@@ -311,10 +317,20 @@ def _hilbert_pointed(
     on the normals are at most x's.  Every irreducible point other than the
     generators lies in the box (x - g_j is in the cone once t_j >= e), and
     a y whose coordinates are at most x's lies in the same box.  So the
-    basis is the generators plus the box points whose t is minimal, found
-    by scanning in increasing order of sum(t) against the accepted t's: a
-    y below x has a smaller sum, and if some y is below x so is a minimal
-    one.  Other cones go to ``_hilbert_triangulated``.
+    basis is the generators plus the box points whose t is minimal.
+
+    A column of t that is 0 on every box point plays no part in the order,
+    so it is left out.  The rest are scanned in lexicographic order of t:
+    a y below t comes before t, and if some y is below t so is a minimal
+    one, which was accepted when it was reached.  Every accepted y also
+    has y_1 <= t_1, so with at most three columns, padded with 0 columns in
+    front to three, t is reducible iff some accepted y has y_2 <= t_2 and
+    y_3 <= t_3.  Those pairs are kept as a staircase, the minimal accepted
+    pairs with y_2 increasing and y_3 decreasing: the last step with
+    y_2 <= t_2 has the least y_3 of them, and an accepted t replaces the
+    steps it is below.  With four or more columns each t is compared with
+    every accepted one.  Only the accepted t are turned into points x.
+    Other cones go to ``_hilbert_triangulated``.
     """
     if not gens:
         return []
@@ -324,14 +340,41 @@ def _hilbert_pointed(
         return _hirzebruch_jung(*gens)
     if len(gens) != d:
         return _hilbert_triangulated(gens, normals)
-    t, x = _parallelepiped(gens)
-    sums = list(map(sum, t))
-    basis = list(gens)
+    t_cols, e = _parallelepiped(gens)
+    kept = [j for j, col in enumerate(t_cols) if any(col)]
+    cols = [t_cols[j] for j in kept]
+    vecs = [gens[j] for j in kept]
+    if len(kept) <= 3:
+        pad = 3 - len(kept)
+        cols[:0] = [[0] * len(t_cols[0])] * pad
+        vecs[:0] = [(0,) * d] * pad
+    # t = 0, the point 0, sorts first
+    points = sorted(zip(*cols))[1:]
     accepted: list[Vector] = []
-    for i in sorted(range(len(t)), key=sums.__getitem__):
-        if not any(all(map(le, y, t[i])) for y in accepted):
-            basis.append(x[i])
-            accepted.append(t[i])
+    if len(cols) == 3:
+        y2s: list[int] = []
+        y3s: list[int] = []
+        for t in points:
+            _, t2, t3 = t
+            k = bisect_right(y2s, t2)
+            if k and y3s[k - 1] <= t3:
+                continue
+            # t is below the step with y_2 = t_2, if any, and the steps
+            # after it with y_3 >= t_3
+            i = k - 1 if k and y2s[k - 1] == t2 else k
+            j = k
+            while j < len(y3s) and y3s[j] >= t3:
+                j += 1
+            y2s[i:j] = [t2]
+            y3s[i:j] = [t3]
+            accepted.append(t)
+    else:
+        for t in points:
+            if not any(all(map(le, y, t)) for y in accepted):
+                accepted.append(t)
+    rows = list(zip(*vecs))
+    basis = list(gens)
+    basis.extend(tuple(sum(map(mul, row, t)) // e for row in rows) for t in accepted)
     return sorted(basis)
 
 
@@ -349,7 +392,11 @@ def _hilbert_triangulated(gens: list[Vector], normals: list[Vector]) -> list[Vec
     d = len(gens[0])
     candidates = set(gens)
     for simplex in _triangulate(gens, normals):
-        candidates.update(_parallelepiped(simplex)[1])
+        t_cols, e = _parallelepiped(simplex)
+        rows = list(zip(*simplex))
+        candidates.update(
+            tuple(sum(map(mul, row, t)) // e for row in rows) for t in zip(*t_cols)
+        )
     candidates.discard((0,) * d)
     values = {x: [pairing(x, nu) for nu in normals] for x in candidates}
     basis: list[Vector] = []
@@ -428,10 +475,11 @@ def _triangulate(
     return pull(frozenset(range(len(gens))), len(gens[0]))
 
 
-def _parallelepiped(cols: list[Vector]) -> tuple[list[Vector], list[Vector]]:
-    """The nonzero lattice points x = sum t_j g_j / e, 0 <= t_j < e, of the
+def _parallelepiped(cols: list[Vector]) -> tuple[list[list[int]], int]:
+    """The lattice points x = sum t_j g_j / e, 0 <= t_j < e, of the
     half-open parallelepiped on the columns g_j = ``cols``, as the pair
-    ``(t, x)`` of lists in one order.
+    ``(t_cols, e)``: ``t_cols[j]`` holds t_j of every point, one entry per
+    point in one order, with x = 0 first.
 
     ``cols`` are linearly independent and there are exactly dim-many of
     them, so the box is a genuine parallelepiped with |det| lattice points,
@@ -441,11 +489,12 @@ def _parallelepiped(cols: list[Vector]) -> tuple[list[Vector], list[Vector]]:
     c_i = (V (e / d_i) e_i) mod e, is e times the fractional part of
     G^-1 w, and the point is G t / e.
 
-    Each coordinate column of t is built over all classes at once, one
-    invariant factor at a time: the classes found so far, shifted by
-    k c_i for k < d_i.  Each coordinate of x is then a sum of columns of
-    t scaled by a row of G.  Raises ``ToricError`` when there are more than
-    ``MAX_PARALLELEPIPED_POINTS``, before anything is enumerated.
+    Each column of t is built over all classes at once, one invariant
+    factor at a time: the classes found so far, shifted by k c_i for
+    k < d_i.  A column is 0 on every point when its c_i all are.  The
+    callers build x = G t / e only for the t they keep.  Raises
+    ``ToricError`` when there are more than ``MAX_PARALLELEPIPED_POINTS``,
+    before anything is enumerated.
     """
     d = len(cols[0])
     if len(cols) != d:
@@ -469,11 +518,4 @@ def _parallelepiped(cols: list[Vector]) -> tuple[list[Vector], list[Vector]]:
         for j, col in enumerate(t_cols):
             c = v[j][i] * (e // di) % e
             t_cols[j] = [(a + k * c) % e for k in range(di) for a in col]
-    x_cols = []
-    for row in g:
-        s = [0] * count
-        for gij, col in zip(row, t_cols):
-            if gij:
-                s = [a + gij * b for a, b in zip(s, col)]
-        x_cols.append([a // e for a in s])
-    return list(zip(*t_cols))[1:], list(zip(*x_cols))[1:]
+    return t_cols, e

@@ -26,7 +26,7 @@ from math import gcd
 from operator import mul
 from typing import Hashable, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import ShapeError
+from .errors import ShapeError, ToricError
 
 Vector = tuple[int, ...]
 Matrix = list[list[int]]
@@ -370,11 +370,17 @@ class QuotientLatticePresentation(NamedTuple):
         return tuple(pairing(self.u[i], v) for i in self.free_rows)
 
     def lift_basis(self) -> list[Vector]:
-        """Vectors in Z^n mapping to the free unit coordinates."""
-        uinv = invert_unimodular([list(r) for r in self.u])
-        return [
-            tuple(uinv[i][j] for i in range(self.n)) for j in self.free_rows
-        ]
+        """Vectors in Z^n mapping to the free unit coordinates: the columns
+        of U^-1 at ``free_rows``.  U is unimodular, so its Smith normal form
+        is U' U V' = I and U^-1 = V' U'; column j is V' times column j of
+        U'.  The other columns are never formed, and with no free rows no
+        Smith normal form is taken."""
+        if not self.free_rows:
+            return []
+        u, d, v = smith_normal_form([list(r) for r in self.u])
+        if any(x != 1 for x in diagonal_of(d)):
+            raise ToricError("the presentation's U is not unimodular")
+        return [mat_vec(v, [row[j] for row in u]) for j in self.free_rows]
 
 
 def quotient_by_sublattice(

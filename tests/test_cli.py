@@ -565,6 +565,45 @@ def test_hilbert_answers_a_parallelepiped_near_the_bound(tmp_path, capsys):
     assert not any(v != w and all(map(ge, v, w)) for v in values for w in values)
 
 
+@pytest.mark.parametrize(
+    "rank, n",
+    [(3, 20_000), (4, 5_000)],
+    ids=["3d-20000", "4d-5000"],
+)
+def test_hilbert_answers_a_basis_almost_as_large_as_the_box(rank, n, tmp_path, capsys):
+    # the cone on (0, 1, 0, ...), (n, -1, 0, ...) and the other unit vectors:
+    # its dual is a 2-D cone whose parallelepiped has n lattice points, all
+    # irreducible but 0, times the rays of the other unit vectors, whose
+    # t-columns are 0 on the box.  Comparing each box point with every
+    # accepted one took 59.6 s at n = 20 000 in rank 3 (Python 3.11, one
+    # Xeon core).
+    rays = [(0, 1), (n, -1)] + [(0, 0)] * (rank - 2)
+    rays = [r + tuple(int(i == j) for i in range(2, rank)) for j, r in enumerate(rays)]
+    f = tmp_path / "thin.fan"
+    f.write_text(
+        f"rank {rank}\nrays {rank}\n"
+        + "".join(" ".join(map(str, r)) + "\n" for r in rays)
+        + "maxcones 1\n" + " ".join(map(str, range(rank))) + "\n"
+    )
+    code, out, err, elapsed = timed_main(["hilbert", str(f), "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert elapsed < 2, elapsed
+    cones = {tuple(e["cone"]): e["hilbert_basis"] for e in json.loads(out)["cones"]}
+    assert len(cones[tuple(range(rank))]) == n + rank - 1
+
+
+def test_hilbert_on_the_empty_fan_of_rank_400(tmp_path, capsys):
+    # the zero cone's dual is all of X(T): its basis is +-e_i, and no
+    # Smith normal form of U is taken for a quotient of rank 0
+    f = tmp_path / "empty.fan"
+    f.write_text("rank 400\nrays 0\nmaxcones 0\n")
+    code, out, err, elapsed = timed_main(["hilbert", str(f), "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert elapsed < 1, elapsed
+    (entry,) = json.loads(out)["cones"]
+    assert entry["cone"] == [] and len(entry["hilbert_basis"]) == 800
+
+
 def test_a_huge_ray_entry_names_the_basis_size_bound(tmp_path, capsys):
     # the dual of the cone (0, 2) has the 10^200 + 1 basis elements (k, -1)
     f = tmp_path / "p2_huge_ray.fan"

@@ -6,6 +6,7 @@ from math import gcd, prod
 from operator import le
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from torikit.cone import (
     Cone,
     _hilbert_pointed,
     _hilbert_triangulated,
+    _parallelepiped,
     double_description,
 )
 from torikit.errors import PointednessError, ToricError
@@ -550,3 +552,101 @@ def test_a_simplicial_dual_is_neither_triangulated_nor_paired(monkeypatch):
     assert basis == oracles.hilbert_box(normals)
     _hilbert_pointed(list(square.facet_normals), list(square.extreme_rays), 3)
     assert {"_triangulate", "pairing"} <= set(calls)
+
+
+def sum_ordered_basis(gens):
+    """The reduction that the staircase sweep replaced, as a reference: every
+    box point in increasing order of sum(t), compared with every accepted t,
+    and x = G t / e built for the accepted ones."""
+    t_cols, e = _parallelepiped(gens)
+    accepted = []
+    for t in sorted(list(zip(*t_cols))[1:], key=sum):
+        if not any(all(map(le, y, t)) for y in accepted):
+            accepted.append(t)
+    rows = list(zip(*gens))
+    return sorted(
+        list(gens) + [tuple(pairing(row, t) // e for row in rows) for t in accepted]
+    )
+
+
+@st.composite
+def sweep_duals(draw):
+    """The extreme rays of a simplicial cone in dimension 3 or 4, shaped for
+    the sweep's cases.
+
+    A block B of size k <= d is one of: the thin cone on (1, 0), (1, N),
+    whose N - 1 box points are all irreducible; a block with a non-cyclic
+    group (columns of D T as in ``simplicial_duals``), so that box points
+    tie in every coordinate; or random entries.  The rays are B's columns
+    padded with 0 and the unit vectors e_{k+1}, ..., e_d, whose t-columns
+    are identically 0 on the box.  A unimodular change of coordinates,
+    signs and a shuffle follow; the first keeps the t-columns.
+    """
+    d = draw(st.integers(3, 4))
+    kind = draw(st.sampled_from(["thin", "non-cyclic", "random"]))
+    if kind == "thin":
+        k = 2
+        block = [(1, 0), (1, draw(st.integers(2, 25)))]
+    elif kind == "non-cyclic":
+        k = draw(st.integers(3, d))
+        p = draw(st.integers(2, 3))
+        diag = [1, p] + [p * draw(st.integers(1, 2)) for _ in range(k - 2)]
+        t = [[1] * k] + [
+            [int(i == j) or (draw(st.integers(-2, 2)) if j > i else 0) for j in range(k)]
+            for i in range(1, k)
+        ]
+        block = [tuple(diag[i] * t[i][j] for i in range(k)) for j in range(k)]
+    else:
+        k = draw(st.integers(2, d))
+        block = [tuple(draw(st.integers(-4, 4)) for _ in range(k)) for _ in range(k)]
+        assume(all(gcd(*c) == 1 for c in block))
+        det = sympy.Matrix([list(c) for c in block]).det()
+        assume(0 < abs(det) <= 60)
+    gens = [c + (0,) * (d - k) for c in block]
+    gens += [tuple(int(i == j) for i in range(d)) for j in range(k, d)]
+    m = [list(row) for row in zip(*gens)]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.permutations(range(d)))[:2]
+        s = draw(st.sampled_from([-1, 1]))
+        m[i] = [a + s * b for a, b in zip(m[i], m[j])]
+    signs = [draw(st.sampled_from([-1, 1])) for _ in range(d)]
+    order = draw(st.permutations(range(d)))
+    return [tuple(signs[j] * row[j] for row in m) for j in order]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep_duals())
+def test_the_sweep_matches_the_sum_ordered_scan_and_the_box_oracle(gens):
+    d = len(gens)
+    normals = [tuple(u) for u in oracles._dual_generators(gens)]
+    basis = _hilbert_pointed(gens, normals, d)
+    assert basis == sum_ordered_basis(gens)
+    assert basis == oracles.hilbert_box(normals)
+
+
+@pytest.mark.parametrize(
+    "gens, zero_columns",
+    [
+        # the product of the thin 2-D cone and a ray: one column is 0
+        ([(1, 0, 0), (1, 7, 0), (0, 0, 1)], 1),
+        # the same with two unit rays, in dimension 4: two columns are 0
+        ([(1, 0, 0, 0), (1, 7, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], 2),
+        # Z/3 x Z/3 times a ray: the last column is 0, three points on
+        # each value of t_1
+        ([(1, 0, 0, 0), (1, 3, 0, 0), (1, 0, 3, 0), (0, 0, 0, 1)], 1),
+        # Z/2 x Z/2 x Z/2 again, with four nonzero columns: the scan
+        ([(1, 0, 0, 0), (1, 2, 0, 0), (1, 0, 2, 0), (1, 0, 0, 2)], 0),
+        # Z/3 x Z/3: three nonzero columns, three points on each t_1
+        ([(1, 0, 0), (1, 3, 0), (1, 0, 3)], 0),
+        # the same group on a cone where a step of the staircase has a
+        # later point's t_2, and a later point is below a step
+        ([(1, 0, 0), (-1, -3, 0), (-1, 0, -3)], 0),
+    ],
+    ids=["one-zero-column", "two-zero-columns", "Z3^2-times-a-ray", "Z2^3-scanned", "Z3^2", "Z3^2-signed"],
+)
+def test_the_sweep_on_zero_columns_and_ties(gens, zero_columns):
+    t_cols, _ = _parallelepiped(gens)
+    assert sum(not any(col) for col in t_cols) == zero_columns
+    normals = [tuple(u) for u in oracles._dual_generators(gens)]
+    basis = _hilbert_pointed(gens, normals, len(gens))
+    assert basis == sum_ordered_basis(gens) == oracles.hilbert_box(normals)

@@ -297,18 +297,18 @@ def box_points(cols):
 
 
 def parallelepiped_points(cols):
-    """The points x of ``_parallelepiped``, after checking that each comes
-    with its coordinates t: G t = e x for one e > max t, so x = G (t / e)
-    with 0 <= t / e < 1."""
-    t, x = _parallelepiped(cols)
-    assert len(t) == len(x)
-    scales = set()
-    for tp, xp in zip(t, x):
+    """The nonzero points x = G t / e of ``_parallelepiped``, after checking
+    that the first t is 0, that 0 <= t_j < e, and that e divides G t."""
+    t_cols, e = _parallelepiped(cols)
+    assert len({len(col) for col in t_cols}) == 1
+    ts = list(zip(*t_cols))
+    assert not any(ts[0])
+    x = []
+    for tp in ts[1:]:
+        assert all(0 <= tj < e for tj in tp)
         gt = [sum(c[i] * tj for c, tj in zip(cols, tp)) for i in range(len(cols))]
-        e = next(a // b for a, b in zip(gt, xp) if b)
-        assert gt == [e * b for b in xp] and all(0 <= tj < e for tj in tp)
-        scales.add(e)
-    assert len(scales) <= 1
+        assert all(a % e == 0 for a in gt)
+        x.append(tuple(a // e for a in gt))
     return x
 
 

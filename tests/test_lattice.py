@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torikit.lattice
 from torikit.lattice import (
     diagonal_of,
     invert_unimodular,
@@ -318,6 +319,41 @@ def test_quotient_lift_basis():
     assert sorted(free) == sorted(
         tuple(int(i == j) for i in range(2)) for j in range(2)
     )
+
+
+@st.composite
+def sublattices(draw):
+    """(n, generators) for a sublattice of Z^n, 1 <= n <= 5: 0 to n + 1
+    random generators, and sometimes a multiple of the first one, so that
+    quotients of every rank from 0 to n, with and without torsion, occur."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, n + 1))
+    gens = draw(
+        st.lists(
+            st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=k, max_size=k
+        )
+    )
+    if gens and draw(st.booleans()):
+        gens.append([draw(st.integers(-2, 2)) * x for x in gens[0]])
+    return n, gens
+
+
+@settings(max_examples=200)
+@given(sublattices())
+def test_the_lift_basis_is_the_inverse_at_the_free_rows(case):
+    n, gens = case
+    pres = quotient_by_sublattice(n, gens)
+    inverse = invert_unimodular([list(r) for r in pres.u])
+    assert pres.lift_basis() == [
+        tuple(row[j] for row in inverse) for j in pres.free_rows
+    ]
+
+
+def test_the_lift_basis_of_a_zero_quotient_takes_no_smith_normal_form(monkeypatch):
+    pres = quotient_by_sublattice(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert pres.rank == 0
+    monkeypatch.setattr(torikit.lattice, "smith_normal_form", None)
+    assert pres.lift_basis() == []
 
 
 @settings(max_examples=60)
