@@ -6,7 +6,14 @@ smoothness and the dual basis.  One double description gives the facet
 normals, and with sigma^perp they generate the dual.  ``Cone.facets``
 maps each facet, as the set of generators on it, to its normal; the
 faces, the extreme rays and whether there is a vertex are read off those
-sets, and so are a fan's walls, its pair check and its completeness.  The
+sets, and so are a fan's walls, its pair check and its completeness.  A
+face tau of a simplicial cone sigma, one whose generators are linearly
+independent, is read off sigma (``Cone.face``): its generators are
+independent too, so its dimension is their count, and with nu_j the
+facet normal of sigma opposite g_j, tau^v = cone(nu_j : g_j in tau) +
+tau^perp (Cox, Little and Schenck, *Toric Varieties*, Sec. 1.2).  So the
+nu_j of tau's generators are tau's facet normals, up to tau^perp and a
+positive factor, and no double description is run for tau.  The
 double description can also cut a pointed cone it is given by more
 half-spaces, which is how a fan intersects two of its cones.  Hilbert
 bases of dual monoids come from the dual's image modulo sigma^perp.  In
@@ -252,6 +259,16 @@ class Cone:
         """X(T_sigma) = X(T) / (sigma^perp intersect X(T))."""
         return quotient_by_sublattice(self.n, self.perp)
 
+    def face(self, indices: frozenset[int]) -> Cone:
+        """The face on the generators at ``indices``, one of
+        ``face_generator_sets``.  A face of a simplicial cone, one whose
+        generators are linearly independent, reads its dimension and its
+        facet normals off this cone (``_SimplicialFace``); any other face is
+        a cone of its own."""
+        if self.dim == len(self.generators):
+            return _SimplicialFace(self, indices)
+        return Cone([self.generators[i] for i in sorted(indices)], self.n)
+
     @cached_property
     def face_generator_sets(self) -> list[frozenset[int]]:
         """Faces as index sets into ``generators``, smallest first.
@@ -298,6 +315,28 @@ class Cone:
                 )
             out.append(x)
         return out
+
+
+class _SimplicialFace(Cone):
+    """The face on the generators at ``indices`` of the simplicial ``cone``.
+    Its generators are linearly independent, so its dimension is their
+    count, and its facet normals are those of ``cone`` opposite them, read
+    when first asked for."""
+
+    def __init__(self, cone: Cone, indices: frozenset[int]):
+        super().__init__([cone.generators[i] for i in sorted(indices)], cone.n)
+        self._cone = cone
+        self._indices = indices
+
+    @cached_property
+    def dim(self) -> int:
+        return len(self.generators)
+
+    @cached_property
+    def facet_normals(self) -> tuple[Vector, ...]:
+        return tuple(
+            a for facet, a in self._cone.facets.items() if not self._indices <= facet
+        )
 
 
 def _hilbert_pointed(

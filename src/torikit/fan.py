@@ -3,7 +3,11 @@
 A fan is a face-closed collection of pointed rational cones whose pairwise
 intersections are common faces.  Cones are stored as sorted tuples of
 indices into the ray table.  ``Fan`` closes the cones it is given under
-faces, so the input format lists only maximal cones.
+faces, so the input format lists only maximal cones.  The closure is built
+on first use.  On a wall-certified fan (below) with smooth maximal cones,
+validation, the smoothness and completeness verdicts and Picard read only
+the given cones; the orbit decomposition, every cone in ``Fan.cones``,
+reads the faces.
 
 Every invariant needs a valid fan, and most need a smooth, or a smooth
 complete, one.  ``require_valid``, ``require_smooth`` and
@@ -44,6 +48,13 @@ class Fan:
     maximal cones are the given cones whose ray set is not a proper subset
     of another given cone's (the zero cone when none is given): every cone
     lies on the rays of a given cone.
+
+    Only the given cones are built with the fan.  The face closure and the
+    sorted ``cones`` are built the first time they are read, each face by
+    ``Cone.face`` from a given cone, and ``cone`` answers a given cone
+    without them.  So on a wall-certified fan with smooth maximal cones,
+    ``validate_fan``, the smoothness and validity gates,
+    ``incompleteness_reasons`` and ``picard`` build no face.
     """
 
     def __init__(
@@ -57,37 +68,55 @@ class Fan:
         self.rays: tuple[Vector, ...] = tuple(primitive(r) for r in rays)
         if len(set(self.rays)) != len(self.rays):
             raise ValueError("duplicate ray in ray table")
-        given = {tuple(sorted(c)) for c in cones} - {()}
+        given = sorted({tuple(sorted(c)) for c in cones} - {()})
         for c in given:
             if any(i < 0 or i >= len(self.rays) for i in c):
                 raise ValueError(f"ray index out of range in cone {c}")
-        objs = {c: Cone([self.rays[i] for i in c], n) for c in given}
-        for c in given:
-            if objs[c].has_vertex():
-                for f in objs[c].face_generator_sets:
-                    face = _face_rayset(c, f)
-                    if face not in objs:
-                        objs[face] = Cone([self.rays[i] for i in face], n)
-        objs.setdefault((), Cone([], n))
-        self._cone_objs: dict[RaySet, Cone] = objs
-        self.cones: tuple[RaySet, ...] = tuple(
-            sorted(objs, key=lambda c: (objs[c].dim, c))
-        )
+            if len(set(c)) != len(c):
+                raise ValueError(f"duplicate ray index in cone {c}")
+        self._given: dict[RaySet, Cone] = {
+            c: Cone([self.rays[i] for i in c], n) for c in given
+        }
         # a given cone that contains c contains c's first ray
         containing: dict[int, list[frozenset[int]]] = {}
         for c in given:
             for i in c:
                 containing.setdefault(i, []).append(frozenset(c))
         self.maximal_cones: tuple[RaySet, ...] = tuple(
-            sorted(c for c in given if not any(d > set(c) for d in containing[c[0]]))
+            c for c in given if not any(d > set(c) for d in containing[c[0]])
         ) or ((),)
         self.warnings = warnings or []
 
     def cone(self, rayset: Iterable[int]) -> Cone:
+        """The cone on ``rayset``; a given cone is answered without
+        building the face closure."""
         key = tuple(sorted(rayset))
-        if key not in self._cone_objs:
+        if key in self._given:
+            return self._given[key]
+        if key not in self._closure:
             raise KeyError(f"cone {key} not in fan")
-        return self._cone_objs[key]
+        return self._closure[key]
+
+    @cached_property
+    def _closure(self) -> dict[RaySet, Cone]:
+        """Every cone of the fan: the given cones, the faces of each given
+        cone that has a vertex, built by ``Cone.face`` from the first such
+        cone in ray-set order, and the zero cone."""
+        objs = dict(self._given)
+        for c, cone in self._given.items():
+            if cone.has_vertex():
+                for f in cone.face_generator_sets:
+                    face = _face_rayset(c, f)
+                    if face not in objs:
+                        objs[face] = cone.face(f)
+        objs.setdefault((), Cone([], self.n))
+        return objs
+
+    @cached_property
+    def cones(self) -> tuple[RaySet, ...]:
+        """The ray sets of all cones, by dimension, then by ray set."""
+        objs = self._closure
+        return tuple(sorted(objs, key=lambda c: (objs[c].dim, c)))
 
     @cached_property
     def validation(self) -> ValidationReport:

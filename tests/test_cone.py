@@ -158,6 +158,42 @@ def test_the_facet_record_matches_the_facet_normals(data):
     assert cone.face_generator_sets == frontier_faces(cone)
 
 
+@st.composite
+def independent_generators(draw):
+    """k linearly independent vectors of Z^n, 2 <= n <= 4 and 1 <= k <= n,
+    spanning a parallelepiped of volume at most 20, so that the dual's
+    parallelepiped has at most 20^3 points."""
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(1, n))
+    gens = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=k, max_size=k))
+    g = sympy.Matrix(gens)
+    assume(0 < (g * g.T).det() <= 20**2)
+    return gens, n
+
+
+@settings(max_examples=80, deadline=None)
+@given(independent_generators())
+def test_a_face_of_a_simplicial_cone_is_the_cone_on_its_generators(example):
+    """A face that reads its dimension and its facet normals off its
+    simplicial cone agrees with the cone built afresh on its generators:
+    the same facets, with normals equal modulo tau^perp up to a positive
+    factor, the same points of a box, and the same Hilbert basis."""
+    gens, n = example
+    cone = Cone(gens, n)
+    points = box(n, 2)
+    for indices in cone.face_generator_sets:
+        face = cone.face(indices)
+        fresh = Cone([cone.generators[i] for i in sorted(indices)], n)
+        assert face.generators == fresh.generators
+        assert face.dim == fresh.dim == len(indices)
+        assert face.facets.keys() == fresh.facets.keys()
+        q = fresh.stabilizer_characters
+        for facet, a in face.facets.items():
+            assert primitive(q.free_part(a)) == primitive(q.free_part(fresh.facets[facet]))
+        assert [face.contains(x) for x in points] == [fresh.contains(x) for x in points]
+        assert face.hilbert_basis() == fresh.hilbert_basis()
+
+
 def test_double_description_full_space():
     rays, lineality = double_description([], 2)
     assert list(rays) == []

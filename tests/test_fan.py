@@ -13,6 +13,8 @@ from torikit import (
     simplicial_complex,
     validate_fan,
 )
+from torikit.cli import main
+from torikit.cone import Cone
 from torikit.lattice import pairing
 
 from conftest import COMPLETE_GOLDEN, P2_UNUSED_RAY, SMOOTH_GOLDEN, fans, load_fan, oracles
@@ -120,6 +122,33 @@ def test_fan_closes_given_cones_under_faces():
     assert not validate_fan(line).valid
     # with no cone given, the zero cone is the maximal cone
     assert Fan(2, (), [()]).maximal_cones == Fan(2, (), []).maximal_cones == ((),)
+
+
+def test_a_repeated_ray_index_in_a_cone_is_refused():
+    # the closure would index the de-duplicated generators through the
+    # listed indices and lose the faces (1,) and (0, 1)
+    with pytest.raises(ValueError, match=r"^duplicate ray index in cone \(0, 0, 1\)$"):
+        Fan(2, [(1, 0), (0, 1)], [(0, 1, 0)])
+
+
+@pytest.mark.parametrize("command", ["validate", "picard"])
+def test_a_certified_fan_builds_only_its_given_cones(monkeypatch, tmp_path, capsys, command):
+    """``validate`` and ``picard`` read only the maximal cones of a
+    wall-certified fan, so (P^1)^8 builds its 256 maximal cones and none of
+    the 6 561 cones of the face closure."""
+    path = tmp_path / "p1_8.fan"
+    path.write_text(fans.p1_power(8).text())
+    built = []
+    init = Cone.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Cone, "__init__", counting_init)
+    assert main([command, str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(built) == 256 == 2**8
 
 
 def test_completeness():

@@ -14,6 +14,7 @@ invalid one.
 import dataclasses
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -36,6 +37,7 @@ from torikit import (
     stratify,
     validate_fan,
 )
+from torikit.cli import main
 from torikit.cone import Cone, double_description
 from torikit.fan import ValidationReport
 
@@ -425,6 +427,42 @@ def test_faces_get_no_dual_and_no_chart_from_the_gates(monkeypatch, data):
     assert len(orbit_table(fan)) == len(fan.cones)
     assert calls == []
     assert cached("_chart") == cached("facet_normals") == set(fan.maximal_cones)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [fans.p1_power(3), fans.weighted_projective_space((1, 3, 5, 31))],
+    ids=["(P^1)^3", "P(1,3,5,31)"],
+)
+def test_hilbert_reads_every_face_off_a_maximal_cone(monkeypatch, tmp_path, capsys, data):
+    """``hilbert`` on a simplicial fan runs one double description per
+    maximal cone, for its facets, and ranks the generators of the maximal
+    cones only: each face takes its dimension and its facet normals from
+    a maximal cone."""
+    fan = parse_fan(data.text())
+    maximal = sorted(fan.cone(c).generators for c in fan.maximal_cones)
+    cones = len(fan.cones)
+    path = tmp_path / "fan.fan"
+    path.write_text(data.text())
+    duals, ranked = [], []
+    dd, rank = torikit.cone.double_description, torikit.cone.rank
+
+    def counting_dd(*args, **kwargs):
+        duals.append(tuple(args[0]))
+        return dd(*args, **kwargs)
+
+    def counting_rank(m):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "dim":
+            ranked.append(caller.f_locals["self"].generators)
+        return rank(m)
+
+    monkeypatch.setattr(torikit.cone, "double_description", counting_dd)
+    monkeypatch.setattr(torikit.fan, "double_description", counting_dd)
+    monkeypatch.setattr(torikit.cone, "rank", counting_rank)
+    assert main(["hilbert", str(path)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == cones
+    assert sorted(duals) == sorted(ranked) == maximal
 
 
 GATED = {
