@@ -5,7 +5,10 @@ file, prints the parser's warnings on stderr, requires a valid fan
 (``validate`` reports the verdict instead), runs the subcommand and prints
 its result.  A subcommand maps the fan and the parsed arguments to
 ``(payload, lines, exit_code)``: the JSON payload, the text lines, and the
-exit code.
+exit code.  ``hilbert``, whose lines grow with its answer, renders them
+only for ``--format text`` and leaves them empty for JSON.  Either output
+is rendered whole before anything is printed, so an integer past Python's
+digit limit for text leaves stdout empty.
 
 Exit codes: 0 success, 1 validation or mathematical-precondition failure,
 2 input/parse error.  Output is deterministic; --format json emits the
@@ -180,15 +183,15 @@ def cmd_hilbert(fan: Fan, args: argparse.Namespace) -> Result:
             )
         cones = (cones[args.cone],)
     entries = []
-    lines = []
     for c in cones:
         try:
             basis = fan.cone(c).hilbert_basis()
         except ToricError as exc:
             raise ToricError(f"Hilbert basis of cone {c}: {exc}") from exc
-        rows = [list(h) for h in basis]
-        entries.append({"cone": list(c), "hilbert_basis": rows})
-        lines.append(f"cone {list(c)}: {rows}")
+        entries.append({"cone": list(c), "hilbert_basis": list(map(list, basis))})
+    lines = []
+    if args.format == "text":
+        lines = [f"cone {e['cone']}: {e['hilbert_basis']}" for e in entries]
     return {"command": "hilbert", "cones": entries}, lines, EXIT_OK
 
 
@@ -232,9 +235,9 @@ def _dumps(x, nl: str = "\n") -> str:
     """``json.dumps(x, sort_keys=True, indent=2)`` for the values payloads
     hold: dicts with str keys, lists, str, int, bool and None; any other
     type raises ``TypeError``.  ``nl`` is the newline and indent of the
-    line ``x`` starts on.  A flat list of ints, and a list of int lists of
-    one length (characters, Hilbert basis vectors, cones), are each
-    rendered by one C-level join or ``%`` format."""
+    line ``x`` starts on.  A flat list of ints is rendered by one C-level
+    join, and a rectangular int array of any depth (characters, Hilbert
+    bases, Picard's basis of rays x cones x n) by one ``%`` format."""
     t = type(x)
     if t is list:
         if not x:
@@ -244,11 +247,28 @@ def _dumps(x, nl: str = "\n") -> str:
         if kinds == {int}:
             return "[" + nl1 + ("," + nl1).join(map(int.__repr__, x)) + nl + "]"
         if kinds == {list} and len(set(map(len, x))) == 1 and x[0]:
+            # a rectangular int array: one length at each depth, int leaves
             flat = tuple(chain.from_iterable(x))
-            if set(map(type, flat)) == {int}:
+            kinds = set(map(type, flat))
+            if kinds == {int}:
+                # depth 2, the common case, without the loop below
                 nl2 = nl1 + "  "
                 row = "[" + nl2 + ("," + nl2).join(["%d"] * len(x[0])) + nl1 + "]"
                 return ("[" + nl1 + ("," + nl1).join([row] * len(x)) + nl + "]") % flat
+            shape = [len(x), len(x[0])]
+            while kinds == {list} and len(set(map(len, flat))) == 1 and flat[0]:
+                shape.append(len(flat[0]))
+                flat = tuple(chain.from_iterable(flat))
+                kinds = set(map(type, flat))
+            if kinds == {int}:
+                # from the innermost lists out, each indented one step less
+                template = "%d"
+                inner = nl + "  " * len(shape)
+                for size in reversed(shape):
+                    outer = inner[:-2]
+                    template = "[" + inner + ("," + inner).join([template] * size) + outer + "]"
+                    inner = outer
+                return template % flat
         return "[" + nl1 + ("," + nl1).join([_dumps(v, nl1) for v in x]) + nl + "]"
     if t is dict:
         if not x:
@@ -335,9 +355,8 @@ def main(argv: list[str] | None = None) -> int:
         payload, lines, code = COMMANDS[args.command](fan, args)
         if args.format == "json":
             print(_dumps(payload))
-        else:
-            for line in lines:
-                print(line)
+        elif lines:
+            print("\n".join(lines))
         return code
     except ValueError as exc:
         # int -> str refuses more than sys.get_int_max_str_digits() digits

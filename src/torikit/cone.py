@@ -25,10 +25,12 @@ is reduced in those coordinates, with no pairing: the columns of t that
 are 0 on every point are left out, the points are taken in lexicographic
 order of t, so that every point below t comes before it, and with at most
 three columns left the test of t against the accepted points is one
-search in a staircase of them.  Only the accepted t are turned into
-lattice points.  Any other image is triangulated on its facet normals and
-the points of each simplicial piece are reduced by their values on the
-normals.
+search in a staircase of them; with more, a search in each staircase of
+a Fenwick tree over the further columns.  Only the accepted t are turned
+into lattice points, all at once, and the basis is lifted from the image
+to X(T) and checked against the cone's generators in one pass too.
+Any other image is triangulated on its facet normals and the points of
+each simplicial piece are reduced by their values on the normals.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import itertools
 from bisect import bisect_right
 from functools import cached_property
 from math import prod
-from operator import le, mul
+from operator import add, floordiv, le, mul
 from typing import Optional, Sequence
 
 from .errors import PointednessError, ToricError
@@ -54,7 +56,6 @@ from .lattice import (
     quotient_by_sublattice,
     rank,
     smith_normal_form,
-    transpose,
 )
 
 # ``hilbert_basis`` refuses a parallelepiped with more lattice points (it
@@ -294,6 +295,11 @@ class Cone:
         for the dual's rays r, is {y : <y, L^T g> >= 0} over the extreme rays
         g of sigma (y = P (L y)), and as L^T is injective on the span of
         sigma, the L^T g are its facet normals.
+
+        The basis of tau is lifted in one product, column by column of the
+        lifts, and each generator of sigma is then paired with all of the
+        lifts at once.  A lift that pairs below 0 with some generator raises
+        ``ToricError`` naming the first such lift, in basis order.
         """
         if not self.has_vertex():
             raise PointednessError("cone without vertex has no Hilbert basis")
@@ -306,15 +312,36 @@ class Cone:
         )
         # both signs of each lineality basis vector, which follow the rays
         out = list(self.dual_generators[len(self.facet_normals):])
-        lift_matrix = transpose(lifts)
-        for h in sub:
-            x = mat_vec(lift_matrix, h)
-            if any(pairing(x, g) < 0 for g in self.generators):
-                raise ToricError(
-                    f"lifted Hilbert basis element {x} is not in the dual cone"
-                )
-            out.append(x)
+        if not sub:
+            return out
+        # column i of the lifts is sum_k L[i][k] h_k over the whole basis,
+        # and a generator's values on them are one such sum of columns
+        sub_cols = list(zip(*sub))
+        cols = [_combine(row, sub_cols) for row in zip(*lifts)]
+        first = len(sub)
+        for g in self.generators:
+            values = _combine(g, cols)
+            if min(values) < 0:
+                first = min(first, next(i for i, v in enumerate(values) if v < 0))
+        lifted = list(zip(*cols))
+        if first < len(sub):
+            raise ToricError(
+                f"lifted Hilbert basis element {lifted[first]} is not in the dual cone"
+            )
+        out.extend(lifted)
         return out
+
+
+def _combine(coeffs: Sequence[int], cols: Sequence[Sequence[int]]) -> Sequence[int]:
+    """sum_k coeffs[k] cols[k], entry by entry, for columns of one nonzero
+    length; a coefficient 0 is skipped and a coefficient 1 takes the column
+    as it is."""
+    acc: Sequence[int] = ()
+    for a, col in zip(coeffs, cols):
+        if a:
+            term = col if a == 1 else list(map(mul, itertools.repeat(a), col))
+            acc = list(map(add, acc, term)) if acc else term
+    return acc or [0] * len(cols[0])
 
 
 class _SimplicialFace(Cone):
@@ -367,9 +394,14 @@ def _hilbert_pointed(
     y_3 <= t_3.  Those pairs are kept as a staircase, the minimal accepted
     pairs with y_2 increasing and y_3 decreasing: the last step with
     y_2 <= t_2 has the least y_3 of them, and an accepted t replaces the
-    steps it is below.  With four or more columns each t is compared with
-    every accepted one.  Only the accepted t are turned into points x.
-    Other cones go to ``_hilbert_triangulated``.
+    steps it is below.  With k >= 4 columns, the accepted t are kept in
+    Fenwick trees over t_2, ..., t_(k-2) nested around staircases on the
+    last two entries (``_insert``), so that each t is tested against at most
+    (log2(e) + 1)^(k-3) staircases and is inserted into as many; the
+    staircases are those of the sweep for maxima by Kung, Luccio and
+    Preparata (J. ACM, 1975).  Only the accepted t are turned into points
+    x, all at once, one coordinate at a time.  Other cones go to
+    ``_hilbert_triangulated``.
     """
     if not gens:
         return []
@@ -389,32 +421,85 @@ def _hilbert_pointed(
         vecs[:0] = [(0,) * d] * pad
     # t = 0, the point 0, sorts first
     points = sorted(zip(*cols))[1:]
-    accepted: list[Vector] = []
     if len(cols) == 3:
         y2s: list[int] = []
         y3s: list[int] = []
-        for t in points:
-            _, t2, t3 = t
-            k = bisect_right(y2s, t2)
-            if k and y3s[k - 1] <= t3:
-                continue
-            # t is below the step with y_2 = t_2, if any, and the steps
-            # after it with y_3 >= t_3
-            i = k - 1 if k and y2s[k - 1] == t2 else k
-            j = k
-            while j < len(y3s) and y3s[j] >= t3:
-                j += 1
-            y2s[i:j] = [t2]
-            y3s[i:j] = [t3]
-            accepted.append(t)
+        accepted = [t for t in points if _add_step(y2s, y3s, t[1], t[2])]
     else:
+        tree: dict = {}
+        accepted = []
         for t in points:
-            if not any(all(map(le, y, t)) for y in accepted):
+            if not _below(tree, t, 1):
+                _insert(tree, t, 1, e)
                 accepted.append(t)
-    rows = list(zip(*vecs))
     basis = list(gens)
-    basis.extend(tuple(sum(map(mul, row, t)) // e for row in rows) for t in accepted)
+    if accepted:
+        basis.extend(_box_points(vecs, list(zip(*accepted)), e))
     return sorted(basis)
+
+
+def _box_points(
+    vecs: list[Vector], t_cols: Sequence[Sequence[int]], e: int
+) -> list[Vector]:
+    """The points x = G t / e, G the matrix with columns ``vecs``, of the
+    t whose entries are the columns ``t_cols``, all at once, one
+    coordinate of x at a time."""
+    coords = [_combine(row, t_cols) for row in zip(*vecs)]
+    return list(zip(*(list(map(floordiv, c, itertools.repeat(e))) for c in coords)))
+
+
+def _add_step(y2s: list[int], y3s: list[int], a: int, b: int) -> bool:
+    """Add the pair (a, b) to the staircase ``y2s``, ``y3s`` unless some
+    step is at most it in both entries; True iff it was added.
+
+    The steps are minimal pairs, y_2 increasing and y_3 decreasing, so the
+    last step with y_2 <= a has the least y_3 of those with y_2 <= a.  The
+    added pair replaces the steps it is below: the one with y_2 = a, if any,
+    and the steps after it with y_3 >= b."""
+    k = bisect_right(y2s, a)
+    if k and y3s[k - 1] <= b:
+        return False
+    i = k - 1 if k and y2s[k - 1] == a else k
+    j = k
+    while j < len(y3s) and y3s[j] >= b:
+        j += 1
+    y2s[i:j] = [a]
+    y3s[i:j] = [b]
+    return True
+
+
+def _below(tree: dict | tuple, t: Vector, c: int) -> bool:
+    """True iff some point inserted into ``tree`` (``_insert``) is at most
+    ``t`` in the entries c, c + 1, ... of t."""
+    if len(t) - c == 2:
+        k = bisect_right(tree[0], t[c])
+        return k > 0 and tree[1][k - 1] <= t[c + 1]
+    i = t[c] + 1
+    while i:
+        node = tree.get(i)
+        if node is not None and _below(node, t, c + 1):
+            return True
+        i &= i - 1
+    return False
+
+
+def _insert(tree: dict | tuple, t: Vector, c: int, e: int) -> None:
+    """Insert the entries c, c + 1, ... of ``t``, each in [0, e), into
+    ``tree``.  With two entries left it is a staircase (``_add_step``); with
+    more, a Fenwick tree over the value of entry c, whose node i holds the
+    later entries of the points with t_c + 1 in (i - lowbit(i), i].  So
+    the points with entry c at most t_c are those of at most log2(e) + 1
+    nodes, and each point is inserted into as many."""
+    if len(t) - c == 2:
+        _add_step(*tree, t[c], t[c + 1])
+        return
+    i = t[c] + 1
+    while i <= e:
+        node = tree.get(i)
+        if node is None:
+            node = tree[i] = ([], []) if len(t) - c == 3 else {}
+        _insert(node, t, c + 1, e)
+        i += i & -i
 
 
 def _hilbert_triangulated(gens: list[Vector], normals: list[Vector]) -> list[Vector]:
@@ -431,11 +516,7 @@ def _hilbert_triangulated(gens: list[Vector], normals: list[Vector]) -> list[Vec
     d = len(gens[0])
     candidates = set(gens)
     for simplex in _triangulate(gens, normals):
-        t_cols, e = _parallelepiped(simplex)
-        rows = list(zip(*simplex))
-        candidates.update(
-            tuple(sum(map(mul, row, t)) // e for row in rows) for t in zip(*t_cols)
-        )
+        candidates.update(_box_points(simplex, *_parallelepiped(simplex)))
     candidates.discard((0,) * d)
     values = {x: [pairing(x, nu) for nu in normals] for x in candidates}
     basis: list[Vector] = []
@@ -531,9 +612,9 @@ def _parallelepiped(cols: list[Vector]) -> tuple[list[list[int]], int]:
     Each column of t is built over all classes at once, one invariant
     factor at a time: the classes found so far, shifted by k c_i for
     k < d_i.  A column is 0 on every point when its c_i all are.  The
-    callers build x = G t / e only for the t they keep.  Raises
-    ``ToricError`` when there are more than ``MAX_PARALLELEPIPED_POINTS``,
-    before anything is enumerated.
+    callers build x = G t / e (``_box_points``) only for the t they keep.
+    Raises ``ToricError`` when there are more than
+    ``MAX_PARALLELEPIPED_POINTS``, before anything is enumerated.
     """
     d = len(cols[0])
     if len(cols) != d:

@@ -57,12 +57,6 @@ def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> Vector:
     return tuple(sum(map(mul, row, v)) for row in a)
 
 
-def transpose(a: Sequence[Sequence[int]]) -> Matrix:
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    return [[a[i][j] for i in range(rows)] for j in range(cols)]
-
-
 def smith_normal_form(
     m: Sequence[Sequence[int]],
 ) -> tuple[Matrix, Matrix, Matrix]:

@@ -42,6 +42,11 @@ COMPLETE_GOLDEN = ["p1", "p2", "p1xp1", "hirzebruch1"]
 P2_UNUSED_RAY = "rank 2\nrays 4\n1 0\n0 1\n-1 -1\n1 1\nmaxcones 3\n0 1\n1 2\n0 2\n"
 
 
+def transpose(a):
+    """The transpose of the matrix ``a``, as a list of rows."""
+    return [list(col) for col in zip(*a)]
+
+
 SMOOTH_FAMILIES = [
     *(fans.projective_space(n) for n in (1, 2, 3)),
     fans.p1_power(2),

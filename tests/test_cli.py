@@ -592,6 +592,58 @@ def test_hilbert_answers_a_basis_almost_as_large_as_the_box(rank, n, tmp_path, c
     assert len(cones[tuple(range(rank))]) == n + rank - 1
 
 
+def test_hilbert_answers_a_4d_dual_whose_basis_is_nearly_its_whole_box(tmp_path, capsys):
+    # the dual of the cone on (0, -1, N, 0), (0, 1, 0, 0), (0, 1, 0, N) and
+    # (N, -1, 0, 0) has four nonzero t-columns and N box points, all
+    # irreducible but 0, so its basis has N + 3 elements.  Comparing each
+    # box point with every accepted one took 1.91 s at N = 4 000, and about
+    # 20 minutes at this N (Python 3.11, one Xeon core).
+    n = 99_999
+    f = tmp_path / "wide.fan"
+    f.write_text(f"rank 4\nrays 4\n0 -1 {n} 0\n0 1 0 0\n0 1 0 {n}\n{n} -1 0 0\nmaxcones 1\n0 1 2 3\n")
+    code, out, err, elapsed = timed_main(["hilbert", str(f), "--cone", "15", "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert elapsed < 10, elapsed
+    (entry,) = json.loads(out)["cones"]
+    assert entry["cone"] == [0, 1, 2, 3]
+    basis = entry["hilbert_basis"]
+    assert len(basis) == len(set(map(tuple, basis))) == n + 3
+    rays = [(0, -1, n, 0), (0, 1, 0, 0), (0, 1, 0, n), (n, -1, 0, 0)]
+    assert all(sum(map(int.__mul__, g, h)) >= 0 for g in rays for h in basis)
+
+
+HILBERT_TEXT_FANS = {name: ROOT / "fans" / name for name in sorted(p.name for p in (ROOT / "fans").glob("*.fan"))}
+
+
+@pytest.mark.parametrize("fan", sorted(HILBERT_TEXT_FANS) + ["P(1,1,250)"])
+def test_hilbert_text_lines_render_the_json_payload(fan, tmp_path, capsys):
+    """Each text line is ``cone {cone}: {basis}`` of the JSON payload of
+    the same call, for the whole fan and for each ``--cone i``."""
+    path = HILBERT_TEXT_FANS.get(fan)
+    if path is None:
+        path = tmp_path / "p_1_1_250.fan"
+        path.write_text(fans.weighted_projective_space((1, 1, 250)).text())
+
+    def both(*options):
+        code = main(["hilbert", str(path), "--format", "json", *options])
+        out, err = capsys.readouterr()
+        assert main(["hilbert", str(path), *options]) == code
+        text, text_err = capsys.readouterr()
+        assert text_err == err
+        if code:
+            assert out == text == ""
+            return None
+        entries = json.loads(out)["cones"]
+        assert text.splitlines() == [f"cone {e['cone']}: {e['hilbert_basis']}" for e in entries]
+        return entries
+
+    entries = both()
+    if entries is None:
+        return
+    for i, entry in enumerate(entries):
+        assert both("--cone", str(i)) == [entry]
+
+
 def test_hilbert_on_the_empty_fan_of_rank_400(tmp_path, capsys):
     # the zero cone's dual is all of X(T): its basis is +-e_i, and no
     # Smith normal form of U is taken for a quotient of rank 0

@@ -365,6 +365,46 @@ def test_hilbert_basis_elements_lie_in_dual():
         assert all(pairing(g, h) >= 0 for g in c.generators)
 
 
+@pytest.mark.parametrize("first_fails_on", [0, -1], ids=["first-generator", "last-generator"])
+@pytest.mark.parametrize(
+    "cone",
+    [
+        Cone([(1, 0), (1, 2)], 2),
+        Cone([(1, 0, 0), (1, 2, 0), (0, 1, 3)], 3).face(frozenset({0, 1})),
+    ],
+    ids=["full-dimensional", "face"],
+)
+def test_a_lifted_element_outside_the_dual_is_named(cone, first_fails_on, monkeypatch):
+    """Two elements outside the image cone are slipped into the image's
+    basis, the first failing on one generator only and the second only on
+    the other; the error names the lift of the first, in basis order."""
+    q = cone.stabilizer_characters
+    lifts = q.lift_basis()
+
+    def lift(h):
+        return tuple(sum(a * l[i] for a, l in zip(h, lifts)) for i in range(cone.n))
+
+    def failing_only_on(g):
+        return next(
+            h
+            for h in itertools.product(range(-2, 3), repeat=q.rank)
+            if [pairing(lift(h), x) < 0 for x in cone.generators] == [x == g for x in cone.generators]
+        )
+
+    first_bad = failing_only_on(cone.generators[first_fails_on])
+    second_bad = failing_only_on(cone.generators[-1 - first_fails_on])
+    pointed = torikit.cone._hilbert_pointed
+
+    def with_bad_elements(*args):
+        basis = pointed(*args)
+        return basis[:1] + [first_bad] + basis[1:] + [second_bad]
+
+    monkeypatch.setattr(torikit.cone, "_hilbert_pointed", with_bad_elements)
+    with pytest.raises(ToricError) as err:
+        cone.hilbert_basis()
+    assert str(err.value) == f"lifted Hilbert basis element {lift(first_bad)} is not in the dual cone"
+
+
 def test_hilbert_basis_requires_vertex():
     with pytest.raises(PointednessError):
         Cone([(1, 0), (-1, 0)], 2).hilbert_basis()
@@ -461,11 +501,14 @@ def test_hilbert_basis_random_oracle():
 @st.composite
 def primitive_2d_cones(draw, entry, max_det):
     """Two primitive rays u, v of a 2-D cone with 0 < |det(u, v)| <= max_det,
-    and the cone's inward facet normals."""
+    and the cone's inward facet normals.  Each ray is a nonzero vector
+    divided by the gcd of its entries, so that little but a zero vector or
+    a det out of range is filtered out."""
     coords = st.integers(-entry, entry)
-    u, v = (draw(st.tuples(coords, coords)) for _ in range(2))
+    rays = st.tuples(coords, coords).filter(any).map(primitive)
+    u, v = draw(rays), draw(rays)
     det = u[0] * v[1] - u[1] * v[0]
-    assume(gcd(*u) == gcd(*v) == 1 and 0 < abs(det) <= max_det)
+    assume(0 < abs(det) <= max_det)
     sign = 1 if det > 0 else -1
     normals = [primitive((-sign * u[1], sign * u[0])), primitive((sign * v[1], -sign * v[0]))]
     return [u, v], normals
@@ -658,6 +701,39 @@ def test_the_sweep_matches_the_sum_ordered_scan_and_the_box_oracle(gens):
     basis = _hilbert_pointed(gens, normals, d)
     assert basis == sum_ordered_basis(gens)
     assert basis == oracles.hilbert_box(normals)
+
+
+@st.composite
+def wide_duals(draw):
+    """The extreme rays of a simplicial cone in dimension 4 or 5 whose box
+    points have four or five nonzero t-columns: random entries, or the
+    facet normals of the cone on (0, -1, N, 0), (0, 1, 0, 0), (0, 1, 0, N)
+    and (N, -1, 0, 0), whose N box points but 0 are all irreducible,
+    shuffled and with signs changed."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 60))
+        rays = [(0, -1, n, 0), (0, 1, 0, 0), (0, 1, 0, n), (n, -1, 0, 0)]
+        gens = [tuple(u) for u in oracles._dual_generators(rays)]
+        signs = [draw(st.sampled_from([-1, 1])) for _ in range(4)]
+        gens = [tuple(s * x for s, x in zip(signs, g)) for g in draw(st.permutations(gens))]
+    else:
+        d = draw(st.integers(4, 5))
+        gens = [tuple(draw(st.integers(-3, 3)) for _ in range(d)) for _ in range(d)]
+        assume(all(gcd(*c) == 1 for c in gens))
+        assume(0 < abs(sympy.Matrix([list(c) for c in gens]).det()) <= 80)
+    assume(sum(map(any, _parallelepiped(gens)[0])) >= 4)
+    return gens
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_duals())
+def test_nested_staircases_match_the_sum_ordered_scan(gens):
+    d = len(gens)
+    normals = [tuple(u) for u in oracles._dual_generators(gens)]
+    basis = _hilbert_pointed(gens, normals, d)
+    assert basis == sum_ordered_basis(gens)
+    if d == 4:
+        assert basis == oracles.hilbert_box(normals)
 
 
 @pytest.mark.parametrize(

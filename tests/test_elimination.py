@@ -19,8 +19,9 @@ from torikit.lattice import (
     invert_unimodular,
     rank,
     smith_normal_form,
-    transpose,
 )
+
+from conftest import transpose
 
 # Mostly small entries, so that rank-deficient matrices are common, with
 # occasional entries up to 10^6.

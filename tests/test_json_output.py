@@ -34,6 +34,15 @@ def equal_rows(draw):
     return draw(st.lists(st.lists(ints, min_size=width, max_size=width), max_size=6))
 
 
+@st.composite
+def depth_3_arrays(draw, entries=ints):
+    """Rectangular arrays of depth 3, the shape of picard's basis (rays x
+    cones x n), any of whose lengths may be 0."""
+    rows, width = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    row = st.lists(entries, min_size=width, max_size=width)
+    return draw(st.lists(st.lists(row, min_size=rows, max_size=rows), max_size=4))
+
+
 leaves = (
     scalars
     | st.lists(ints)
@@ -42,6 +51,10 @@ leaves = (
     # rows and flat lists holding bool or None beside ints
     | st.lists(st.lists(ints | st.booleans() | st.none()), max_size=6)
     | st.lists(ints | st.booleans() | st.none())
+    | depth_3_arrays()
+    # ragged at some depth, and a bool or None at depth 3
+    | st.lists(st.lists(st.lists(ints, max_size=3), max_size=3), max_size=4)
+    | depth_3_arrays(ints | st.booleans() | st.none())
 )
 values = st.recursive(
     leaves,
@@ -70,6 +83,19 @@ def test_dumps_matches_the_standard_library(x):
         [[1], [False]],
         {"a": [[-1, 2], [3, -(2**100)]], "b": {"c": [None]}},
         [[[1, 2]], [[3, 4]]],
+        # rectangular of depth 3 (rays x cones x n) and 4
+        [[[1, -2], [3, 4], [5, 6]], [[7, 8], [9, 10], [-(2**70), 0]]],
+        [[[[1, 2], [3, 4]]], [[[5, 6], [7, 8]]]],
+        # ragged at depth 2 or 3, or empty at depth 3
+        [[[1, 2], [3]], [[4, 5], [6, 7]]],
+        [[[1]], [[2], [3]]],
+        [[[1, 2]], [[]]],
+        [[[]], [[]]],
+        [[[1]], [2]],
+        # not all ints at depth 3
+        [[[1, True]], [[2, 3]]],
+        [[[1, 2]], [[3, None]]],
+        [[[False]]],
     ],
     ids=repr,
 )

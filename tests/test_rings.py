@@ -31,11 +31,10 @@ from torikit.lattice import (
     mat_vec,
     rank,
     smith_normal_form,
-    transpose,
 )
 from torikit.rings import GradedPiece, InjectivityEntry, _mv_mul
 
-from conftest import COMPLETE_GOLDEN, SMOOTH_GOLDEN, fans, load_fan
+from conftest import COMPLETE_GOLDEN, SMOOTH_GOLDEN, fans, load_fan, transpose
 
 
 def test_presentation_p2(p2):
