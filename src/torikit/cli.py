@@ -250,11 +250,6 @@ def _dumps(x, nl: str = "\n") -> str:
             # a rectangular int array: one length at each depth, int leaves
             flat = tuple(chain.from_iterable(x))
             kinds = set(map(type, flat))
-            if kinds == {int}:
-                # depth 2, the common case, without the loop below
-                nl2 = nl1 + "  "
-                row = "[" + nl2 + ("," + nl2).join(["%d"] * len(x[0])) + nl1 + "]"
-                return ("[" + nl1 + ("," + nl1).join([row] * len(x)) + nl + "]") % flat
             shape = [len(x), len(x[0])]
             while kinds == {list} and len(set(map(len, flat))) == 1 and flat[0]:
                 shape.append(len(flat[0]))

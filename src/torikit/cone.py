@@ -25,8 +25,9 @@ is reduced in those coordinates, with no pairing: the columns of t that
 are 0 on every point are left out, the points are taken in lexicographic
 order of t, so that every point below t comes before it, and with at most
 three columns left the test of t against the accepted points is one
-search in a staircase of them; with more, a search in each staircase of
-a Fenwick tree over the further columns.  Only the accepted t are turned
+search in a staircase of them; with four or five, a search in each
+staircase of a Fenwick tree over the further columns, and with more a
+scan of the accepted points.  Only the accepted t are turned
 into lattice points, all at once, and the basis is lifted from the image
 to X(T) and checked against the cone's generators in one pass too.
 Any other image is triangulated on its facet normals and the points of
@@ -66,6 +67,12 @@ MAX_PARALLELEPIPED_POINTS = 100_000
 # determinant D has at most D + 1 basis elements, so every 2-D cone whose
 # parallelepiped the bound above lets through is answered.
 MAX_HILBERT_BASIS_SIZE = MAX_PARALLELEPIPED_POINTS + 1
+# The simplicial sweep nests staircases in Fenwick trees for boxes of at
+# most this many nonzero t-columns k.  A point is inserted into up to
+# (log2(e) + 1)^(k - 3) staircases; past k = 5 that takes about as long as
+# comparing it with every accepted point, and far more memory, so wider
+# boxes are scanned.
+MAX_NESTED_COLUMNS = 5
 
 
 def double_description(
@@ -394,14 +401,15 @@ def _hilbert_pointed(
     y_3 <= t_3.  Those pairs are kept as a staircase, the minimal accepted
     pairs with y_2 increasing and y_3 decreasing: the last step with
     y_2 <= t_2 has the least y_3 of them, and an accepted t replaces the
-    steps it is below.  With k >= 4 columns, the accepted t are kept in
+    steps it is below.  With k = 4 or 5 columns, the accepted t are kept in
     Fenwick trees over t_2, ..., t_(k-2) nested around staircases on the
     last two entries (``_insert``), so that each t is tested against at most
     (log2(e) + 1)^(k-3) staircases and is inserted into as many; the
     staircases are those of the sweep for maxima by Kung, Luccio and
-    Preparata (J. ACM, 1975).  Only the accepted t are turned into points
-    x, all at once, one coordinate at a time.  Other cones go to
-    ``_hilbert_triangulated``.
+    Preparata (J. ACM, 1975).  With more than ``MAX_NESTED_COLUMNS``
+    columns each t is compared with every accepted one.  Only the accepted
+    t are turned into points x, all at once, one coordinate at a time.
+    Other cones go to ``_hilbert_triangulated``.
     """
     if not gens:
         return []
@@ -425,12 +433,17 @@ def _hilbert_pointed(
         y2s: list[int] = []
         y3s: list[int] = []
         accepted = [t for t in points if _add_step(y2s, y3s, t[1], t[2])]
-    else:
+    elif len(cols) <= MAX_NESTED_COLUMNS:
         tree: dict = {}
         accepted = []
         for t in points:
             if not _below(tree, t, 1):
                 _insert(tree, t, 1, e)
+                accepted.append(t)
+    else:
+        accepted = []
+        for t in points:
+            if not any(all(map(le, y, t)) for y in accepted):
                 accepted.append(t)
     basis = list(gens)
     if accepted:

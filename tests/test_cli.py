@@ -612,6 +612,31 @@ def test_hilbert_answers_a_4d_dual_whose_basis_is_nearly_its_whole_box(tmp_path,
     assert all(sum(map(int.__mul__, g, h)) >= 0 for g in rays for h in basis)
 
 
+def test_hilbert_scans_a_box_with_ten_nonzero_columns(tmp_path, capsys):
+    # the dual of the cone on 1000 e_i - e_10 (i = 1, ..., 9) and e_10 is
+    # cone(e_1, ..., e_9, (1, ..., 1, 1000)): a cyclic box of 1000 points,
+    # all irreducible but 0, with ten nonzero t-columns.  Fenwick trees
+    # nested seven deep over it need more than 2.5 GB; the scan answers it
+    # in a fraction of a second (MAX_NESTED_COLUMNS).
+    r, n = 10, 1000
+    rays = [tuple(n * (i == j) - (i == r - 1) for i in range(r)) for j in range(r - 1)]
+    rays.append(tuple(int(i == r - 1) for i in range(r)))
+    f = tmp_path / "ten.fan"
+    f.write_text(
+        f"rank {r}\nrays {r}\n"
+        + "".join(" ".join(map(str, v)) + "\n" for v in rays)
+        + "maxcones 1\n" + " ".join(map(str, range(r))) + "\n"
+    )
+    code, out, err, elapsed = timed_main(["hilbert", str(f), "--cone", str(2**r - 1), "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert elapsed < 5, elapsed
+    (entry,) = json.loads(out)["cones"]
+    assert entry["cone"] == list(range(r))
+    basis = entry["hilbert_basis"]
+    assert len(basis) == len(set(map(tuple, basis))) == n - 1 + r
+    assert all(sum(map(int.__mul__, g, h)) >= 0 for g in rays for h in basis)
+
+
 HILBERT_TEXT_FANS = {name: ROOT / "fans" / name for name in sorted(p.name for p in (ROOT / "fans").glob("*.fan"))}
 
 

@@ -683,6 +683,13 @@ def sweep_duals(draw):
         assume(0 < abs(det) <= 60)
     gens = [c + (0,) * (d - k) for c in block]
     gens += [tuple(int(i == j) for i in range(d)) for j in range(k, d)]
+    return scrambled(draw, gens)
+
+
+def scrambled(draw, gens):
+    """``gens`` after a drawn unimodular change of coordinates (row
+    operations), signs and a shuffle; the first keeps the t-columns."""
+    d = len(gens)
     m = [list(row) for row in zip(*gens)]
     for _ in range(draw(st.integers(0, 2))):
         i, j = draw(st.permutations(range(d)))[:2]
@@ -705,29 +712,42 @@ def test_the_sweep_matches_the_sum_ordered_scan_and_the_box_oracle(gens):
 
 @st.composite
 def wide_duals(draw):
-    """The extreme rays of a simplicial cone in dimension 4 or 5 whose box
-    points have four or five nonzero t-columns: random entries, or the
+    """The extreme rays of a simplicial cone whose box points have four or
+    more nonzero t-columns, on both sides of ``MAX_NESTED_COLUMNS``: the
     facet normals of the cone on (0, -1, N, 0), (0, 1, 0, 0), (0, 1, 0, N)
-    and (N, -1, 0, 0), whose N box points but 0 are all irreducible,
-    shuffled and with signs changed."""
-    if draw(st.booleans()):
+    and (N, -1, 0, 0), whose N box points but 0 are all irreducible; random
+    entries in dimension 4 or 5; e_1, ..., e_(d-1) and (a_1, ..., a_(d-1), N)
+    with 0 < a_i < N in dimension 4 to 7, a cyclic box of N points that are
+    all irreducible when every a_i is 1 (the dual of the cone on N e_i - e_d
+    and e_d); or, in dimension 7, (1, ..., 1), 2 e_2, ..., 2 e_7, whose 64
+    box points tie in every coordinate and have six nonzero t-columns.  All
+    but the random ones are then ``scrambled``."""
+    kind = draw(st.sampled_from(["normals", "random", "cyclic", "ties"]))
+    if kind == "normals":
         n = draw(st.integers(2, 60))
         rays = [(0, -1, n, 0), (0, 1, 0, 0), (0, 1, 0, n), (n, -1, 0, 0)]
-        gens = [tuple(u) for u in oracles._dual_generators(rays)]
-        signs = [draw(st.sampled_from([-1, 1])) for _ in range(4)]
-        gens = [tuple(s * x for s, x in zip(signs, g)) for g in draw(st.permutations(gens))]
-    else:
+        gens = scrambled(draw, [tuple(u) for u in oracles._dual_generators(rays)])
+    elif kind == "random":
         d = draw(st.integers(4, 5))
         gens = [tuple(draw(st.integers(-3, 3)) for _ in range(d)) for _ in range(d)]
         assume(all(gcd(*c) == 1 for c in gens))
         assume(0 < abs(sympy.Matrix([list(c) for c in gens]).det()) <= 80)
+    elif kind == "cyclic":
+        d = draw(st.integers(4, 7))
+        n = draw(st.integers(2, 40))
+        ones = draw(st.booleans())
+        last = tuple(1 if ones else draw(st.integers(1, n - 1)) for _ in range(d - 1)) + (n,)
+        assume(gcd(*last) == 1)
+        gens = scrambled(draw, [tuple(int(i == j) for i in range(d)) for j in range(d - 1)] + [last])
+    else:
+        gens = scrambled(draw, [(1,) * 7] + [tuple(2 * (i == j) for i in range(7)) for j in range(1, 7)])
     assume(sum(map(any, _parallelepiped(gens)[0])) >= 4)
     return gens
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(wide_duals())
-def test_nested_staircases_match_the_sum_ordered_scan(gens):
+def test_wide_boxes_match_the_sum_ordered_scan(gens):
     d = len(gens)
     normals = [tuple(u) for u in oracles._dual_generators(gens)]
     basis = _hilbert_pointed(gens, normals, d)
