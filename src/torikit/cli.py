@@ -314,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format", choices=["text", "json"], default="text"
         )
-        p.add_argument("-v", "--verbose", action="store_true")
         if name == "betti":
             group = p.add_mutually_exclusive_group()
             group.add_argument("--ordinary", action="store_true")

@@ -22,16 +22,15 @@ walked from one ray to the other.  In higher dimension the lattice points
 of a half-open fundamental parallelepiped are enumerated by their
 coordinates t over its rays, column by column of t.  A simplicial image
 is reduced in those coordinates, with no pairing: the columns of t that
-are 0 on every point are left out, the points are taken in lexicographic
-order of t, so that every point below t comes before it, and with at most
-three columns left the test of t against the accepted points is one
-search in a staircase of them; with four or five, a search in each
-staircase of a Fenwick tree over the further columns, and with more a
-scan of the accepted points.  Only the accepted t are turned
-into lattice points, all at once, and the basis is lifted from the image
-to X(T) and checked against the cone's generators in one pass too.
-Any other image is triangulated on its facet normals and the points of
-each simplicial piece are reduced by their values on the normals.
+are 0 on every point are left out, and one filter (``_minimal``) keeps
+the minimal t: in lexicographic order, so that every point below t comes
+before it, it searches the accepted t in a staircase when there are
+three entries, in each staircase of a Fenwick tree with four or five, and
+by a scan with more.  Only the accepted t are turned into lattice
+points, all at once, and the basis is lifted from the image to X(T) and
+checked against the cone's generators in one pass too.  Any other image
+is triangulated on its facet normals, and its candidates go through the
+same filter as their values on the normals.
 """
 
 from __future__ import annotations
@@ -67,12 +66,17 @@ MAX_PARALLELEPIPED_POINTS = 100_000
 # determinant D has at most D + 1 basis elements, so every 2-D cone whose
 # parallelepiped the bound above lets through is answered.
 MAX_HILBERT_BASIS_SIZE = MAX_PARALLELEPIPED_POINTS + 1
-# The simplicial sweep nests staircases in Fenwick trees for boxes of at
-# most this many nonzero t-columns k.  A point is inserted into up to
-# (log2(e) + 1)^(k - 3) staircases; past k = 5 that takes about as long as
-# comparing it with every accepted point, and far more memory, so wider
-# boxes are scanned.
+# ``_minimal`` nests staircases in Fenwick trees for points of at most
+# this many entries k (a box's nonzero t-columns, or a dual's facet
+# normals).  A point is inserted into up to (log2(e) + 1)^(k - 3)
+# staircases; past k = 5 that takes about as long as comparing it with
+# every accepted point, and far more memory, so longer points are scanned.
 MAX_NESTED_COLUMNS = 5
+# The scan refuses to compare a point with an accepted one more often, a
+# few seconds of work.  The 6-column box of the dual of the cone on
+# N e_i - e_6 (i <= 5) and e_6 needs (N - 1)(N - 2) / 2 comparisons, so it
+# is answered up to N = 3 163.
+MAX_SCAN_COMPARISONS = 5_000_000
 
 
 def double_description(
@@ -393,23 +397,10 @@ def _hilbert_pointed(
     basis is the generators plus the box points whose t is minimal.
 
     A column of t that is 0 on every box point plays no part in the order,
-    so it is left out.  The rest are scanned in lexicographic order of t:
-    a y below t comes before t, and if some y is below t so is a minimal
-    one, which was accepted when it was reached.  Every accepted y also
-    has y_1 <= t_1, so with at most three columns, padded with 0 columns in
-    front to three, t is reducible iff some accepted y has y_2 <= t_2 and
-    y_3 <= t_3.  Those pairs are kept as a staircase, the minimal accepted
-    pairs with y_2 increasing and y_3 decreasing: the last step with
-    y_2 <= t_2 has the least y_3 of them, and an accepted t replaces the
-    steps it is below.  With k = 4 or 5 columns, the accepted t are kept in
-    Fenwick trees over t_2, ..., t_(k-2) nested around staircases on the
-    last two entries (``_insert``), so that each t is tested against at most
-    (log2(e) + 1)^(k-3) staircases and is inserted into as many; the
-    staircases are those of the sweep for maxima by Kung, Luccio and
-    Preparata (J. ACM, 1975).  With more than ``MAX_NESTED_COLUMNS``
-    columns each t is compared with every accepted one.  Only the accepted
-    t are turned into points x, all at once, one coordinate at a time.
-    Other cones go to ``_hilbert_triangulated``.
+    so it is left out, and fewer than three columns are padded with 0
+    columns in front to three; the minimal t are then those ``_minimal``
+    keeps.  Only they are turned into points x, all at once, one
+    coordinate at a time.  Other cones go to ``_hilbert_triangulated``.
     """
     if not gens:
         return []
@@ -427,28 +418,57 @@ def _hilbert_pointed(
         pad = 3 - len(kept)
         cols[:0] = [[0] * len(t_cols[0])] * pad
         vecs[:0] = [(0,) * d] * pad
-    # t = 0, the point 0, sorts first
+    # t = 0, the point 0, sorts first; the next point is minimal
     points = sorted(zip(*cols))[1:]
-    if len(cols) == 3:
+    basis = list(gens)
+    if points:
+        basis.extend(_box_points(vecs, list(zip(*_minimal(points, e))), e))
+    return sorted(basis)
+
+
+def _minimal(points: list[Vector], e: int) -> list[Vector]:
+    """The ``points`` that no earlier point is at most in every entry.
+
+    The points are distinct, of k >= 3 entries each in [0, e), and in
+    lexicographic order, so a point y below t comes before t; if some y is
+    below t so is a minimal one, which was accepted when it was reached.
+    Every accepted y also has y_1 <= t_1, so with k = 3, t is reducible iff
+    some accepted y has y_2 <= t_2 and y_3 <= t_3.  Those pairs are kept as
+    a staircase (``_add_step``).  With k = 4 or 5, the accepted t are kept
+    in Fenwick trees over t_2, ..., t_(k-2) nested around staircases on the
+    last two entries (``_insert``), so that each t is tested against at most
+    (log2(e) + 1)^(k-3) staircases and is inserted into as many; the
+    staircases are those of the sweep for maxima by Kung, Luccio and
+    Preparata (J. ACM, 1975).  With more than ``MAX_NESTED_COLUMNS``
+    entries each t is compared with the accepted ones until one is below
+    it, and ``ToricError`` is raised once the scan has made more than
+    ``MAX_SCAN_COMPARISONS`` comparisons.
+    """
+    if len(points[0]) == 3:
         y2s: list[int] = []
         y3s: list[int] = []
-        accepted = [t for t in points if _add_step(y2s, y3s, t[1], t[2])]
-    elif len(cols) <= MAX_NESTED_COLUMNS:
+        return [t for t in points if _add_step(y2s, y3s, t[1], t[2])]
+    accepted: list[Vector] = []
+    if len(points[0]) <= MAX_NESTED_COLUMNS:
         tree: dict = {}
-        accepted = []
         for t in points:
             if not _below(tree, t, 1):
                 _insert(tree, t, 1, e)
                 accepted.append(t)
-    else:
-        accepted = []
-        for t in points:
-            if not any(all(map(le, y, t)) for y in accepted):
-                accepted.append(t)
-    basis = list(gens)
-    if accepted:
-        basis.extend(_box_points(vecs, list(zip(*accepted)), e))
-    return sorted(basis)
+        return accepted
+    budget = MAX_SCAN_COMPARISONS
+    for t in points:
+        # the count of accepted points compared up to the first below t
+        below = next((i for i, y in enumerate(accepted, 1) if all(map(le, y, t))), 0)
+        budget -= below or len(accepted)
+        if budget < 0:
+            raise ToricError(
+                f"the dual cone's Hilbert basis needs more than the "
+                f"{MAX_SCAN_COMPARISONS} comparisons of lattice points torikit makes"
+            )
+        if not below:
+            accepted.append(t)
+    return accepted
 
 
 def _box_points(
@@ -520,25 +540,21 @@ def _hilbert_triangulated(gens: list[Vector], normals: list[Vector]) -> list[Vec
     ``gens`` and facet normals ``normals``, of dimension at least 3.
 
     Candidates are the generators plus the lattice points of the half-open
-    parallelepipeds of a triangulation; reducible candidates (x - y stays
-    in the cone for an accepted y) are discarded in increasing order of the
-    sum of their values on ``normals``, a linear functional positive on the
-    nonzero points of the cone.  x - y lies in the cone exactly when y's
-    values are at most x's, so each candidate's values are computed once.
+    parallelepipeds of a triangulation.  A candidate x is reducible iff
+    x - y stays in the cone for another candidate y, that is iff y's values
+    on ``normals`` are at most x's; so the basis is the candidates whose
+    tuples of values are minimal (``_minimal``).  The normals span, so
+    distinct candidates have distinct tuples.
     """
     d = len(gens[0])
     candidates = set(gens)
     for simplex in _triangulate(gens, normals):
         candidates.update(_box_points(simplex, *_parallelepiped(simplex)))
     candidates.discard((0,) * d)
-    values = {x: [pairing(x, nu) for nu in normals] for x in candidates}
-    basis: list[Vector] = []
-    accepted: list[list[int]] = []
-    for x in sorted(candidates, key=lambda x: (sum(values[x]), x)):
-        if not any(all(map(le, y, values[x])) for y in accepted):
-            basis.append(x)
-            accepted.append(values[x])
-    return sorted(basis)
+    by_values = {tuple(pairing(x, nu) for nu in normals): x for x in candidates}
+    values = sorted(by_values)
+    e = max(map(max, values)) + 1
+    return sorted(by_values[v] for v in _minimal(values, e))
 
 
 def _hirzebruch_jung(u: Vector, v: Vector) -> list[Vector]:

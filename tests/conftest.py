@@ -41,6 +41,14 @@ COMPLETE_GOLDEN = ["p1", "p2", "p1xp1", "hirzebruch1"]
 # P^2 with a fourth ray (1, 1) in no cone, though it lies inside cone {0, 1}.
 P2_UNUSED_RAY = "rank 2\nrays 4\n1 0\n0 1\n-1 -1\n1 1\nmaxcones 3\n0 1\n1 2\n0 2\n"
 
+# Lattice polygons with 4, 5 and 6 vertices; the cone over one of them, on
+# the rays (v, N), has a dual with as many facets that is not simplicial.
+POLYGONS = {
+    "square": [(1, 0), (0, 1), (-1, 0), (0, -1)],
+    "pentagon": [(1, 0), (1, 1), (0, 1), (-1, 0), (0, -1)],
+    "hexagon": [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)],
+}
+
 
 def transpose(a):
     """The transpose of the matrix ``a``, as a list of rows."""

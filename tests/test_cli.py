@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 import subprocess
@@ -11,11 +12,11 @@ import pytest
 
 import torikit.fan
 from torikit.cli import COMMANDS, main
-from torikit.cone import MAX_HILBERT_BASIS_SIZE, MAX_PARALLELEPIPED_POINTS
+from torikit.cone import MAX_HILBERT_BASIS_SIZE, MAX_PARALLELEPIPED_POINTS, MAX_SCAN_COMPARISONS
 from torikit.errors import SmoothnessError
 from torikit.fan import parse_fan, require_smooth
 
-from conftest import P2_UNUSED_RAY, fans
+from conftest import P2_UNUSED_RAY, POLYGONS, fans
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -612,6 +613,23 @@ def test_hilbert_answers_a_4d_dual_whose_basis_is_nearly_its_whole_box(tmp_path,
     assert all(sum(map(int.__mul__, g, h)) >= 0 for g in rays for h in basis)
 
 
+def one_cone_fan(path, rays):
+    """Write the fan of the one cone on ``rays`` to ``path``."""
+    path.write_text(
+        f"rank {len(rays[0])}\nrays {len(rays)}\n"
+        + "".join(" ".join(map(str, v)) + "\n" for v in rays)
+        + "maxcones 1\n" + " ".join(map(str, range(len(rays)))) + "\n"
+    )
+    return str(path)
+
+
+def cyclic_box_cone(r, n):
+    """The cone on n e_i - e_r (i < r) and e_r, whose dual has a cyclic box
+    of n points, all irreducible but 0, with r nonzero t-columns."""
+    rays = [tuple(n * (i == j) - (i == r - 1) for i in range(r)) for j in range(r - 1)]
+    return rays + [tuple(int(i == r - 1) for i in range(r))]
+
+
 def test_hilbert_scans_a_box_with_ten_nonzero_columns(tmp_path, capsys):
     # the dual of the cone on 1000 e_i - e_10 (i = 1, ..., 9) and e_10 is
     # cone(e_1, ..., e_9, (1, ..., 1, 1000)): a cyclic box of 1000 points,
@@ -619,15 +637,9 @@ def test_hilbert_scans_a_box_with_ten_nonzero_columns(tmp_path, capsys):
     # nested seven deep over it need more than 2.5 GB; the scan answers it
     # in a fraction of a second (MAX_NESTED_COLUMNS).
     r, n = 10, 1000
-    rays = [tuple(n * (i == j) - (i == r - 1) for i in range(r)) for j in range(r - 1)]
-    rays.append(tuple(int(i == r - 1) for i in range(r)))
-    f = tmp_path / "ten.fan"
-    f.write_text(
-        f"rank {r}\nrays {r}\n"
-        + "".join(" ".join(map(str, v)) + "\n" for v in rays)
-        + "maxcones 1\n" + " ".join(map(str, range(r))) + "\n"
-    )
-    code, out, err, elapsed = timed_main(["hilbert", str(f), "--cone", str(2**r - 1), "--format", "json"], capsys)
+    rays = cyclic_box_cone(r, n)
+    f = one_cone_fan(tmp_path / "ten.fan", rays)
+    code, out, err, elapsed = timed_main(["hilbert", f, "--cone", str(2**r - 1), "--format", "json"], capsys)
     assert (code, err) == (0, "")
     assert elapsed < 5, elapsed
     (entry,) = json.loads(out)["cones"]
@@ -635,6 +647,73 @@ def test_hilbert_scans_a_box_with_ten_nonzero_columns(tmp_path, capsys):
     basis = entry["hilbert_basis"]
     assert len(basis) == len(set(map(tuple, basis))) == n - 1 + r
     assert all(sum(map(int.__mul__, g, h)) >= 0 for g in rays for h in basis)
+
+
+@pytest.mark.parametrize(
+    "polygon, n",
+    [("square", 60), ("pentagon", 100), ("hexagon", 20)],
+    ids=["square-60", "pentagon-100", "hexagon-20"],
+)
+def test_hilbert_answers_the_cone_over_a_polygon(polygon, n, tmp_path, capsys):
+    # the dual of the cone on the (v, n), v a vertex of the polygon, is the
+    # cone over the lattice polygon {u : <u, v> >= -n for every v} at height
+    # 1, so its basis is the points (a, b, 1) of that polygon: (2n + 1)^2 of
+    # them for the square.  The dual is not simplicial, and its candidates'
+    # values on the facet normals go through the nested staircases (4 and 5
+    # facets) or the scan (6).  Comparing each candidate with every accepted
+    # one took 32 s on the square at n = 60 (Python 3.11, one Xeon core).
+    # The cone is the last of its 2 len(rays) + 2 faces.
+    rays = [v + (n,) for v in POLYGONS[polygon]]
+    f = one_cone_fan(tmp_path / "polygon.fan", rays)
+    code, out, err, elapsed = timed_main(["hilbert", f, "--cone", str(2 * len(rays) + 1), "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert elapsed < 5, elapsed
+    (entry,) = json.loads(out)["cones"]
+    assert entry["cone"] == list(range(len(rays)))
+    basis = entry["hilbert_basis"]
+    assert len(basis) == len(set(map(tuple, basis)))
+    assert all(sum(map(int.__mul__, g, h)) >= 0 for g in rays for h in basis)
+    points = itertools.product(range(-n, n + 1), repeat=2)
+    assert sorted(basis) == [[a, b, 1] for a, b in points if all(a * v + b * w >= -n for v, w in POLYGONS[polygon])]
+    if polygon == "square":
+        assert len(basis) == 14_641
+
+
+def test_hilbert_answers_a_scanned_box_under_the_bound(tmp_path, capsys):
+    # six nonzero t-columns: each of the 1 999 box points but 0 is compared
+    # with every accepted one, 1 997 001 comparisons, under MAX_SCAN_COMPARISONS
+    rays = cyclic_box_cone(6, 2000)
+    f = one_cone_fan(tmp_path / "six.fan", rays)
+    code, out, err, elapsed = timed_main(["hilbert", f, "--cone", "63", "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert elapsed < 5, elapsed
+    (entry,) = json.loads(out)["cones"]
+    basis = entry["hilbert_basis"]
+    assert len(basis) == len(set(map(tuple, basis))) == 2000 - 1 + 6
+    assert all(sum(map(int.__mul__, g, h)) >= 0 for g in rays for h in basis)
+
+
+@pytest.mark.parametrize(
+    "rays, args",
+    [
+        (cyclic_box_cone(6, 99_999), ["--cone", "63"]),
+        ([v + (150,) for v in POLYGONS["hexagon"]], []),
+    ],
+    ids=["6-column-box-99999", "hexagon-150"],
+)
+def test_hilbert_refuses_a_scan_past_its_comparison_bound(rays, args, tmp_path, capsys):
+    # the 6-column box has 99 998 irreducible points, about 5 * 10^9
+    # comparisons (some 20 minutes); the hexagon's dual has 6 facets and
+    # 67 951 irreducible points
+    f = one_cone_fan(tmp_path / "wide.fan", rays)
+    code, out, err, elapsed = timed_main(["hilbert", f, *args], capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: Hilbert basis of cone {tuple(range(len(rays)))}: the dual cone's Hilbert "
+        f"basis needs more than the {MAX_SCAN_COMPARISONS} comparisons of lattice points "
+        "torikit makes\n"
+    )
+    assert elapsed < 10, elapsed
 
 
 HILBERT_TEXT_FANS = {name: ROOT / "fans" / name for name in sorted(p.name for p in (ROOT / "fans").glob("*.fan"))}

@@ -22,7 +22,7 @@ from torikit.cone import (
 from torikit.errors import PointednessError, ToricError
 from torikit.lattice import pairing, primitive, rank
 
-from conftest import oracles
+from conftest import POLYGONS, oracles
 from test_elimination import box_points, simplicial_cones, sympy_divisors
 
 
@@ -498,6 +498,36 @@ def test_hilbert_basis_random_oracle():
         hilbert_oracle_check(cone, radius=4)
 
 
+def cone_with_extreme_rays(rng, n, count):
+    """A pointed full-dimensional cone in Z^n with ``count`` extreme rays, on
+    rays (x, h) with entries of x in [-2, 2] and h in {1, 2}, drawn until
+    every ray is extreme."""
+    while True:
+        gens = {
+            primitive(tuple(rng.randint(-2, 2) for _ in range(n - 1)) + (rng.randint(1, 2),))
+            for _ in range(count)
+        }
+        cone = Cone(sorted(gens), n)
+        if len(cone.extreme_rays) == count and cone.dim == n:
+            return cone
+
+
+@pytest.mark.parametrize(
+    "n, facets",
+    [(3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (4, 7)],
+    ids=["rank3-4-facets", "rank3-5-facets", "rank3-6-facets", "rank4-5-facets", "rank4-6-facets", "rank4-7-facets"],
+)
+def test_non_simplicial_duals_match_the_oracle(n, facets):
+    """A dual with more facets than its rank is triangulated; its candidates'
+    values on the facet normals have 4 or 5 entries (the nested staircases)
+    or more (the scan)."""
+    rng = random.Random(100 * n + facets)
+    for _ in range(4):
+        cone = cone_with_extreme_rays(rng, n, facets)
+        assert len(cone.facet_normals) > n
+        hilbert_oracle_check(cone, radius=4 if n == 3 else 3)
+
+
 @st.composite
 def primitive_2d_cones(draw, entry, max_det):
     """Two primitive rays u, v of a 2-D cone with 0 < |det(u, v)| <= max_det,
@@ -686,18 +716,26 @@ def sweep_duals(draw):
     return scrambled(draw, gens)
 
 
-def scrambled(draw, gens):
-    """``gens`` after a drawn unimodular change of coordinates (row
-    operations), signs and a shuffle; the first keeps the t-columns."""
-    d = len(gens)
+def transformed(draw, gens):
+    """``gens`` after a drawn unimodular change of coordinates: up to two
+    row operations on the matrix whose columns they are."""
+    n = len(gens[0])
     m = [list(row) for row in zip(*gens)]
     for _ in range(draw(st.integers(0, 2))):
-        i, j = draw(st.permutations(range(d)))[:2]
+        i, j = draw(st.permutations(range(n)))[:2]
         s = draw(st.sampled_from([-1, 1]))
         m[i] = [a + s * b for a, b in zip(m[i], m[j])]
+    return list(zip(*m))
+
+
+def scrambled(draw, gens):
+    """``gens`` ``transformed``, then signed and shuffled; the change of
+    coordinates keeps the t-columns."""
+    d = len(gens)
+    gens = transformed(draw, gens)
     signs = [draw(st.sampled_from([-1, 1])) for _ in range(d)]
     order = draw(st.permutations(range(d)))
-    return [tuple(signs[j] * row[j] for row in m) for j in order]
+    return [tuple(signs[j] * x for x in gens[j]) for j in order]
 
 
 @settings(max_examples=150, deadline=None)
@@ -766,7 +804,8 @@ def test_wide_boxes_match_the_sum_ordered_scan(gens):
         # Z/3 x Z/3 times a ray: the last column is 0, three points on
         # each value of t_1
         ([(1, 0, 0, 0), (1, 3, 0, 0), (1, 0, 3, 0), (0, 0, 0, 1)], 1),
-        # Z/2 x Z/2 x Z/2 again, with four nonzero columns: the scan
+        # Z/2 x Z/2 x Z/2 again, with four nonzero columns: the nested
+        # staircases
         ([(1, 0, 0, 0), (1, 2, 0, 0), (1, 0, 2, 0), (1, 0, 0, 2)], 0),
         # Z/3 x Z/3: three nonzero columns, three points on each t_1
         ([(1, 0, 0), (1, 3, 0), (1, 0, 3)], 0),
@@ -774,7 +813,7 @@ def test_wide_boxes_match_the_sum_ordered_scan(gens):
         # later point's t_2, and a later point is below a step
         ([(1, 0, 0), (-1, -3, 0), (-1, 0, -3)], 0),
     ],
-    ids=["one-zero-column", "two-zero-columns", "Z3^2-times-a-ray", "Z2^3-scanned", "Z3^2", "Z3^2-signed"],
+    ids=["one-zero-column", "two-zero-columns", "Z3^2-times-a-ray", "Z2^3-nested", "Z3^2", "Z3^2-signed"],
 )
 def test_the_sweep_on_zero_columns_and_ties(gens, zero_columns):
     t_cols, _ = _parallelepiped(gens)
@@ -782,3 +821,70 @@ def test_the_sweep_on_zero_columns_and_ties(gens, zero_columns):
     normals = [tuple(u) for u in oracles._dual_generators(gens)]
     basis = _hilbert_pointed(gens, normals, len(gens))
     assert basis == sum_ordered_basis(gens) == oracles.hilbert_box(normals)
+
+
+def sum_ordered_triangulated_basis(gens, normals):
+    """The reduction of a non-simplicial dual that ``_minimal`` replaced, as
+    a reference: the generators and the points of the triangulation's
+    parallelepipeds in increasing order of the sum of their values on
+    ``normals``, each compared with every accepted one."""
+    candidates = set(gens)
+    for simplex in torikit.cone._triangulate(gens, normals):
+        candidates.update(torikit.cone._box_points(simplex, *_parallelepiped(simplex)))
+    candidates.discard((0,) * len(gens[0]))
+    values = {x: [pairing(x, nu) for nu in normals] for x in candidates}
+    basis, accepted = [], []
+    for x in sorted(candidates, key=lambda x: (sum(values[x]), x)):
+        if not any(all(map(le, y, values[x])) for y in accepted):
+            basis.append(x)
+            accepted.append(values[x])
+    return sorted(basis)
+
+
+@st.composite
+def large_non_simplicial_cones(draw):
+    """A pointed full-dimensional cone whose dual is not simplicial and has
+    many candidates: the cone over a square, a pentagon or a hexagon at
+    height N <= 12, whose dual has 4, 5 or 6 facets and 3 N^2 to 4 N^2
+    irreducible points, or the cone on 5 to 8 random rays (x, h) in rank 4,
+    with entries of x in [-2, 2] and h in {1, 2}, whose dual's
+    triangulation has at most 20 000 candidates.  A unimodular change of
+    coordinates follows."""
+    kind = draw(st.sampled_from(sorted(POLYGONS) + ["random"]))
+    if kind == "random":
+        coords = st.integers(-2, 2)
+        rays = [
+            (draw(coords), draw(coords), draw(coords), draw(st.integers(1, 2)))
+            for _ in range(draw(st.integers(5, 8)))
+        ]
+    else:
+        height = draw(st.integers(1, 12))
+        rays = [v + (height,) for v in POLYGONS[kind]]
+    cone = Cone(transformed(draw, rays), len(rays[0]))
+    assume(cone.dim == cone.n and len(cone.extreme_rays) > cone.n)
+    simplices = torikit.cone._triangulate(list(cone.facet_normals), list(cone.extreme_rays))
+    assume(sum(abs(sympy.Matrix(s).det()) for s in simplices) <= 20_000)
+    return cone
+
+
+@settings(max_examples=60, deadline=None)
+@given(large_non_simplicial_cones())
+def test_non_simplicial_duals_match_the_sum_ordered_scan(cone):
+    gens, normals = list(cone.facet_normals), list(cone.extreme_rays)
+    basis = _hilbert_pointed(gens, normals, cone.n)
+    assert basis == sum_ordered_triangulated_basis(gens, normals)
+
+
+def test_the_scan_refuses_past_its_comparison_bound(monkeypatch):
+    """m points of six entries, none below another, then m points above the
+    first of them: the scan compares the j-th of the first m with the j - 1
+    accepted before it, and each later point with the first one only."""
+    m = 40
+    antichain = [(j, m - 1 - j, 0, 0, 0, 0) for j in range(m)]
+    points = antichain + [(m, m - 1, j, 0, 0, 0) for j in range(m)]
+    comparisons = m * (m - 1) // 2 + m
+    monkeypatch.setattr(torikit.cone, "MAX_SCAN_COMPARISONS", comparisons)
+    assert torikit.cone._minimal(points, m + 1) == antichain
+    monkeypatch.setattr(torikit.cone, "MAX_SCAN_COMPARISONS", comparisons - 1)
+    with pytest.raises(ToricError, match=f"more than the {comparisons - 1} comparisons"):
+        torikit.cone._minimal(points, m + 1)
