@@ -315,13 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--format", choices=["text", "json"], default="text"
         )
         if name == "betti":
-            group = p.add_mutually_exclusive_group()
-            group.add_argument("--ordinary", action="store_true")
-            group.add_argument(
-                "--equivariant",
-                action="store_true",
-                help="equivariant series coefficients (the default)",
-            )
+            p.add_argument("--ordinary", action="store_true")
         if name == "hilbert":
             p.add_argument("--cone", type=int, default=None)
     return parser

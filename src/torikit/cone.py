@@ -4,9 +4,11 @@ A cone is stored by its primitive generators.  One Smith normal form
 U G V = D of the generator rows G, the cone's chart, gives sigma^perp,
 smoothness and the dual basis.  One double description gives the facet
 normals, and with sigma^perp they generate the dual.  ``Cone.facets``
-maps each facet, as the set of generators on it, to its normal; the
-faces, the extreme rays and whether there is a vertex are read off those
-sets, and so are a fan's walls, its pair check and its completeness.  A
+maps each facet, as the set of generators on it, to its normal.  The
+faces are read off those sets; so is whether some generators are those on
+a face (``Cone.is_face``), with no face listed, and with it the extreme
+rays and the vertex; and so are a fan's walls, its pair check and its
+completeness.  A
 face tau of a simplicial cone sigma, one whose generators are linearly
 independent, is read off sigma (``Cone.face``): its generators are
 independent too, so its dimension is their count, and with nu_j the
@@ -77,6 +79,10 @@ MAX_NESTED_COLUMNS = 5
 # N e_i - e_6 (i <= 5) and e_6 needs (N - 1)(N - 2) / 2 comparisons, so it
 # is answered up to N = 3 163.
 MAX_SCAN_COMPARISONS = 5_000_000
+# ``Cone.face_generator_sets`` and a fan's face closure list at most this
+# many faces; a simplicial cone on k rays has 2^k, so the orthant of Z^16
+# is answered.  Validation, the gates and Picard list none.
+MAX_FACES = 100_000
 
 
 def double_description(
@@ -207,8 +213,9 @@ class Cone:
         """The generators that span a face of their own, sorted."""
         if not self.has_vertex():
             raise PointednessError("cone without vertex has no extreme rays")
-        faces = self.face_generator_sets
-        return tuple(sorted(self.generators[min(s)] for s in faces if len(s) == 1))
+        return tuple(
+            sorted(g for i, g in enumerate(self.generators) if self.is_face(frozenset([i])))
+        )
 
     @cached_property
     def facets(self) -> dict[frozenset[int], Vector]:
@@ -221,21 +228,20 @@ class Cone:
             for a in self.facet_normals
         }
 
-    @cached_property
-    def _vertex(self) -> bool:
-        """sigma has a vertex iff no generator lies on every facet.
-
-        A generator g on every facet pairs to 0 with the dual's rays and
-        with sigma^perp, so with all of sigma^v, which puts g in
-        sigma & -sigma.  Conversely sigma & -sigma is a face of sigma, and
-        a face is generated by the generators it contains; so if it is not
-        0, some generator lies in it, and so on every facet.
-        """
-        return not frozenset(range(len(self.generators))).intersection(*self.facets)
+    def is_face(self, indices: frozenset[int]) -> bool:
+        """Whether the generators at ``indices`` are those on a face: the
+        facets through them meet in them alone.  Every face is an
+        intersection of facets (sigma the empty one) and is generated by
+        the generators it contains (Cox, Little and Schenck, *Toric
+        Varieties*, Sec. 1.2).  At the empty set this is the vertex test:
+        sigma & -sigma, the smallest face, is 0 iff no generator lies on
+        every facet."""
+        on_all = frozenset(range(len(self.generators)))
+        return on_all.intersection(*(f for f in self.facets if indices <= f)) == indices
 
     def has_vertex(self) -> bool:
-        """True iff sigma meets -sigma only in 0; decided once per cone."""
-        return self._vertex
+        """True iff sigma meets -sigma only in 0: no generator is on every facet."""
+        return self.is_face(frozenset())
 
     def contains(self, v: Sequence[int]) -> bool:
         return all(pairing(g, v) >= 0 for g in self.dual_generators)
@@ -287,11 +293,21 @@ class Cone:
 
         Every face of a pointed cone is an intersection of facets, so
         intersecting the faces found so far with each facet in turn finds
-        them all.
+        them all.  Past ``MAX_FACES`` faces this raises ``ToricError``, at
+        once for a simplicial cone, whose k generators span 2^k faces.
         """
-        faces = {frozenset(range(len(self.generators)))}
+        k = len(self.generators)
+        faces = {frozenset(range(k))}
+        too_many = 2**k > MAX_FACES and self.dim == k
         for facet in self.facets:
+            if too_many:
+                break
             faces |= {f & facet for f in faces}
+            too_many = len(faces) > MAX_FACES
+        if too_many:
+            raise ToricError(
+                f"a cone on {k} rays has more faces than the {MAX_FACES} torikit enumerates"
+            )
         return sorted(faces, key=lambda s: (len(s), sorted(s)))
 
     def hilbert_basis(self) -> list[Vector]:

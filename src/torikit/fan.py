@@ -4,10 +4,10 @@ A fan is a face-closed collection of pointed rational cones whose pairwise
 intersections are common faces.  Cones are stored as sorted tuples of
 indices into the ray table.  ``Fan`` closes the cones it is given under
 faces, so the input format lists only maximal cones.  The closure is built
-on first use.  On a wall-certified fan (below) with smooth maximal cones,
-validation, the smoothness and completeness verdicts and Picard read only
-the given cones; the orbit decomposition, every cone in ``Fan.cones``,
-reads the faces.
+on first use, and only the orbit decomposition, every cone in
+``Fan.cones``, reads it: validation, the smoothness and completeness
+verdicts and Picard read the given cones, and decide which of their ray
+sets are faces by ``Cone.is_face``.
 
 Every invariant needs a valid fan, and most need a smooth, or a smooth
 complete, one.  ``require_valid``, ``require_smooth`` and
@@ -30,9 +30,9 @@ import itertools
 import sys
 from collections import Counter
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .cone import Cone, double_description
+from .cone import MAX_FACES, Cone, double_description
 from .errors import CompletenessError, ParseError, SmoothnessError, ToricError
 from .lattice import QuotientLatticePresentation, Vector, pairing, primitive
 
@@ -52,9 +52,9 @@ class Fan:
     Only the given cones are built with the fan.  The face closure and the
     sorted ``cones`` are built the first time they are read, each face by
     ``Cone.face`` from a given cone, and ``cone`` answers a given cone
-    without them.  So on a wall-certified fan with smooth maximal cones,
-    ``validate_fan``, the smoothness and validity gates,
-    ``incompleteness_reasons`` and ``picard`` build no face.
+    without them.  ``validate_fan``, the smoothness and validity gates,
+    ``incompleteness_reasons`` and ``picard`` build no face on a valid fan;
+    only naming a singular cone (``first_singular_cone``) reads the faces.
     """
 
     def __init__(
@@ -101,7 +101,8 @@ class Fan:
     def _closure(self) -> dict[RaySet, Cone]:
         """Every cone of the fan: the given cones, the faces of each given
         cone that has a vertex, built by ``Cone.face`` from the first such
-        cone in ray-set order, and the zero cone."""
+        cone in ray-set order, and the zero cone.  Past ``MAX_FACES`` cones
+        this raises ``ToricError``."""
         objs = dict(self._given)
         for c, cone in self._given.items():
             if cone.has_vertex():
@@ -109,6 +110,10 @@ class Fan:
                     face = _face_rayset(c, f)
                     if face not in objs:
                         objs[face] = cone.face(f)
+                        if len(objs) > MAX_FACES:
+                            raise ToricError(
+                                f"the fan has more cones than the {MAX_FACES} torikit enumerates"
+                            )
         objs.setdefault((), Cone([], self.n))
         return objs
 
@@ -132,10 +137,11 @@ class Fan:
     @cached_property
     def first_singular_cone(self) -> Optional[RaySet]:
         """The first cone, in ``cones`` order, that is not smooth, or None.
-        Only the maximal cones are charted unless one of them is singular
-        (see ``validate_fan``)."""
-        smooth = lambda c: self.cone(c).is_smooth()
-        return next(_failing_cones(self, smooth), None)
+        The faces are charted, to name it, only when a maximal cone is
+        singular (see ``validate_fan``)."""
+        if all(self.cone(c).is_smooth() for c in self.maximal_cones):
+            return None
+        return next(c for c in self.cones if not self.cone(c).is_smooth())
 
     @cached_property
     def simplices(self) -> frozenset[frozenset[int]]:
@@ -205,13 +211,13 @@ def validate_fan(fan: Fan) -> ValidationReport:
     sigma & tau, a face of each.  Every cone is pointed, being a face of
     a cone on linearly independent rays.
 
-    When the certificate fails or does not apply, the checks below run
-    and the report names every violation.  Pointedness is decided on the
-    maximal cones; all cones are scanned, in ``cones`` order, only to name
-    every violation once a maximal cone fails (``_failing_cones``).  Every cone lies on a subset of the rays
-    of a maximal cone, so it has a vertex if that cone has one; and it is
-    smooth if that cone is, since a subset of a part of a Z-basis is part
-    of a Z-basis.
+    When the certificate fails or does not apply, the checks below run on
+    the given cones, by dimension, then by ray set, and the report names
+    every violation.  Every cone lies on a subset of the rays of a maximal
+    cone, so it has a vertex if that cone has one; and it is smooth if
+    that cone is, since a subset of a part of a Z-basis is part of a
+    Z-basis.  The closure adds faces of pointed cones only, so a cone
+    without a vertex is a given one.
 
     Once every cone has a vertex, (b) needs checking only on pairs of
     maximal cones.  Proof: let sigma and tau be maximal (possibly
@@ -226,22 +232,31 @@ def validate_fan(fan: Fan) -> ValidationReport:
     sigma', hence a face of sigma', and likewise of tau'.
 
     The proof needs every cone to be a face of the maximal cones that
-    contain its rays, so each cone on a ray subset that is not a face,
-    such as a ray through the interior of a quadrant, is checked against
-    each maximal cone whose ray set contains it.
+    contain its rays, so each given cone on a ray subset of a maximal cone
+    d that is not a face of d (``Cone.is_face``), such as a ray through
+    the interior of a quadrant, is checked against d.  Any other such
+    cone c is a face of a given G on the rays of a maximal G', and the fan
+    fails without c: either G is not a face of G', and (G, G') fails, or
+    c is a face of G' (so G' is not d) and (G', d) fails, as c, a face of
+    G' inside G' & d, would be a face of G' & d, and so of d, were G' & d
+    a face of both.
     """
     report = ValidationReport()
     if fan.wall_certified:
         return report
     maximal = fan.maximal_cones
-    for c in _failing_cones(fan, lambda c: fan.cone(c).has_vertex()):
-        report.add("vertex", f"cone {c} contains a line (no vertex)")
+    given = sorted(fan._given, key=lambda c: (fan.cone(c).dim, c))
+    for c in given:
+        if not fan.cone(c).has_vertex():
+            report.add("vertex", f"cone {c} contains a line (no vertex)")
     if not report.valid:
         return report
-    nonfaces = []
-    for d in maximal:
-        faces = {_face_rayset(d, f) for f in fan.cone(d).face_generator_sets}
-        nonfaces += [(c, d) for c in fan.cones if c not in faces and set(c) < set(d)]
+    nonfaces = [
+        (c, d)
+        for d in maximal
+        for c in given
+        if set(c) < set(d) and not fan.cone(d).is_face(frozenset(map(d.index, c)))
+    ]
     for c1, c2 in list(itertools.combinations(maximal, 2)) + nonfaces:
         for c in _check_pair(fan, c1, c2):
             report.add(
@@ -278,15 +293,6 @@ def _wall_certificate(fan: Fan) -> bool:
         if all(pairing(a, point) >= 0 for a in fan.cone(c).facet_normals):
             return False
     return True
-
-
-def _failing_cones(fan: Fan, holds: Callable[[RaySet], bool]) -> Iterator[RaySet]:
-    """The cones, in ``cones`` order, on which a property fails that every
-    cone inherits from the maximal ones: none, without looking at any
-    other cone, when it holds on all of those."""
-    if all(holds(c) for c in fan.maximal_cones):
-        return
-    yield from (c for c in fan.cones if not holds(c))
 
 
 def _face_rayset(c: RaySet, face: Iterable[int]) -> RaySet:
@@ -347,7 +353,8 @@ def require_smooth(fan: Fan) -> None:
 
 
 def is_smooth_fan(fan: Fan) -> bool:
-    return fan.first_singular_cone is None
+    """Whether every maximal cone, and so every cone, is smooth."""
+    return all(fan.cone(c).is_smooth() for c in fan.maximal_cones)
 
 
 def incompleteness_reasons(fan: Fan) -> list[str]:
@@ -375,7 +382,7 @@ def incompleteness_reasons(fan: Fan) -> list[str]:
     borders: Counter[RaySet] = Counter()
     for c in fan.maximal_cones:
         cone = fan.cone(c)
-        extreme = frozenset(min(s) for s in cone.face_generator_sets if len(s) == 1)
+        extreme = frozenset(i for i in range(len(c)) if cone.is_face(frozenset([i])))
         borders.update(_face_rayset(c, f & extreme) for f in cone.facets)
     for c, count in sorted(borders.items()):
         if count != 2:

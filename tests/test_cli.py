@@ -390,6 +390,44 @@ def test_the_first_singular_cone_may_be_a_face(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {info.value}\n"
 
 
+def unit_vectors(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [20, 40, 60])
+def test_validate_and_picard_list_no_face_of_an_orthant(n, tmp_path, capsys):
+    # the orthant of Z^n has 2^n faces, and the gates and Picard read only
+    # its one cone
+    f = one_cone_fan(tmp_path / "orthant.fan", unit_vectors(n))
+    for command, line in [
+        ("validate", "valid, smooth, not complete"),
+        ("picard", f"Pic rank 0, torsion none; Pic_T rank {n}"),
+    ]:
+        code, out, err, elapsed = timed_main([command, f], capsys)
+        assert (code, out, err) == (0, line + "\n", ""), command
+        assert elapsed < 1, (command, elapsed)
+
+
+def test_validate_lists_no_face_of_a_singular_simplex(tmp_path, capsys):
+    # e_1, ..., e_15 and (1, ..., 1, 2) span a cone of index 2 in Z^16,
+    # whose 65 536 faces are smooth but for the cone itself
+    rays = unit_vectors(16)[:15] + [[1] * 15 + [2]]
+    f = one_cone_fan(tmp_path / "singular_simplex.fan", rays)
+    code, out, err, elapsed = timed_main(["validate", f], capsys)
+    assert (code, out, err) == (0, "valid, not smooth, not complete\n", "")
+    assert elapsed < 1, elapsed
+
+
+@pytest.mark.parametrize("command", ["orbits", "hilbert", "betti", "ring", "certify"])
+def test_the_orbit_decomposition_refuses_a_cone_past_the_face_bound(command, tmp_path, capsys):
+    # the orthant of Z^60 has 2^60 faces, refused before they are listed
+    f = one_cone_fan(tmp_path / "orthant.fan", unit_vectors(60))
+    code, out, err, elapsed = timed_main([command, f], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: a cone on 60 rays has more faces than the 100000 torikit enumerates\n"
+    assert elapsed < 1, elapsed
+
+
 @pytest.mark.parametrize(
     "entry", ["100000000000000000000000000007", "10000001"], ids=["30-digit", "det-1e7"]
 )

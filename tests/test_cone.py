@@ -147,8 +147,9 @@ def frontier_faces(cone):
 @given(st.data())
 def test_the_facet_record_matches_the_facet_normals(data):
     """Each facet of ``Cone.facets`` is the set of generators on which its
-    normal vanishes, the normals are ``facet_normals`` in order, and the
-    faces are the frontier search's; cones without a vertex included."""
+    normal vanishes, the normals are ``facet_normals`` in order, the faces
+    are the frontier search's, and ``is_face`` holds on exactly those sets;
+    cones without a vertex included."""
     n = data.draw(st.integers(1, 4))
     gens = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=n + 2))
     cone = Cone([g for g in gens if any(g)], n)
@@ -156,6 +157,28 @@ def test_the_facet_record_matches_the_facet_normals(data):
         assert facet == {i for i, g in enumerate(cone.generators) if pairing(a, g) == 0}
     assert tuple(cone.facets.values()) == cone.facet_normals
     assert cone.face_generator_sets == frontier_faces(cone)
+    k = len(cone.generators)
+    for size in range(k + 1):
+        for indices in map(frozenset, itertools.combinations(range(k), size)):
+            assert cone.is_face(indices) == (indices in cone.face_generator_sets)
+
+
+def test_the_face_listing_is_bounded(monkeypatch):
+    """A cone lists at most ``MAX_FACES`` faces: the orthant of Z^16 lists
+    its 65 536, and a simplicial cone with more is refused before they are
+    listed; a cone over a square lists its 10 faces unless the bound is
+    lower."""
+    orthant = lambda n: Cone([[int(i == j) for j in range(n)] for i in range(n)], n)
+    assert len(orthant(16).face_generator_sets) == 2**16
+    start = time.perf_counter()
+    with pytest.raises(ToricError, match=r"^a cone on 60 rays has more faces than the 100000 torikit enumerates$"):
+        orthant(60).face_generator_sets
+    assert time.perf_counter() - start < 1
+    square = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+    assert len(Cone(square, 3).face_generator_sets) == 10
+    monkeypatch.setattr(torikit.cone, "MAX_FACES", 9)
+    with pytest.raises(ToricError, match=r"^a cone on 4 rays has more faces than the 9 torikit enumerates$"):
+        Cone(square, 3).face_generator_sets
 
 
 @st.composite

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+import torikit.fan
 from torikit import (
     Fan,
     ParseError,
+    ToricError,
     incompleteness_reasons,
     is_complete,
     is_smooth_fan,
@@ -149,6 +151,17 @@ def test_a_certified_fan_builds_only_its_given_cones(monkeypatch, tmp_path, caps
     assert main([command, str(path)]) == 0
     assert capsys.readouterr().err == ""
     assert len(built) == 256 == 2**8
+
+
+def test_the_face_closure_is_bounded(monkeypatch):
+    """The closure of the cones (0, 1) and (2, 3) of Z^4 has 7 cones, and it
+    is refused once the bound on a fan's cones is lower."""
+    rays = [[int(i == j) for j in range(4)] for i in range(4)]
+    assert len(Fan(4, rays, [(0, 1), (2, 3)]).cones) == 7
+    monkeypatch.setattr(torikit.fan, "MAX_FACES", 6)
+    fan = Fan(4, rays, [(0, 1), (2, 3)])
+    with pytest.raises(ToricError, match=r"^the fan has more cones than the 6 torikit enumerates$"):
+        fan.cones
 
 
 def test_completeness():

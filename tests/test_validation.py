@@ -41,7 +41,7 @@ from torikit.cli import main
 from torikit.cone import Cone, double_description
 from torikit.fan import ValidationReport
 
-from conftest import fans, load_fan
+from conftest import FAN_DIR, fans, load_fan
 
 
 def exhaustive_validate(fan: Fan) -> ValidationReport:
@@ -325,6 +325,34 @@ def test_the_pentagram_is_refused_by_its_interior_point_alone():
         for c in ((0, 1), (2, 3))
     ]
     assert len(report.violations) == 10
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        less_one_cone(fans.projective_space(4)).text(),
+        less_one_cone(fans.p1_power(3)).text(),
+        less_one_cone(fans.hirzebruch(2)).text(),
+        (FAN_DIR / "affine_plane.fan").read_text(),
+    ],
+    ids=["P^4", "(P^1)^3", "F_2", "affine plane"],
+)
+def test_the_fallback_gates_and_picard_read_only_the_given_cones(monkeypatch, text):
+    """On valid fans that wall crossing does not certify (each family less
+    one maximal cone, and the affine plane), validation, the smoothness
+    and completeness verdicts and Picard never build the face closure."""
+
+    def refuse(fan):
+        raise AssertionError("the face closure was built")
+
+    monkeypatch.setattr(Fan, "_closure", property(refuse))
+    fan = parse_fan(text)
+    assert not fan.wall_certified
+    assert validate_fan(fan).valid
+    assert torikit.fan.is_smooth_fan(fan)
+    assert not torikit.fan.is_complete(fan)
+    used = {v for c in fan.maximal_cones for v in c}
+    assert picard(fan).equivariant_rank == len(used)
 
 
 @pytest.mark.parametrize(
